@@ -3,14 +3,17 @@
 Subcommands: ``generate`` samples a curve with its residual columns,
 ``verify`` checks residual maxima against a tolerance, ``energy`` prints the
 dual energy split, ``variation`` drives seeded constrained variations.
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 truncated
-solve.  Output is deterministic for fixed flags.
+Exit codes: 0 success; 1 a verification gate failed (a value above the
+tolerance or not finite); 2 bad usage or input the package rejects; 3 the
+solver truncated the requested domain or stopped at its first steps.  Output
+is deterministic for fixed flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -18,14 +21,7 @@ import numpy as np
 from .closed_forms import CatenaryParams, closed_form
 from .curves import GraphCurve
 from .dual import DirectionSpec
-from .errors import (
-    DegenerateVariation,
-    DomainError,
-    DualcatError,
-    ImmediateSingularity,
-    InvalidParams,
-    OutOfDomain,
-)
+from .errors import DegenerateVariation, DualcatError, ImmediateSingularity
 from .solver import InitialData, SolverConfig, recover_w, solve_dual, solve_real, assemble
 from .variational import (
     Bump,
@@ -47,6 +43,9 @@ NUMERIC_TOL = 1e-6
 VARIATION_TOL = 1e-5
 VARIATION_RETRIES = 5
 
+# Smallest accepted value of each integer flag.
+INT_MINIMUM = {"samples": 2, "panels": 1, "count": 1}
+
 
 class UsageError(DualcatError):
     pass
@@ -65,6 +64,30 @@ def _parse_domain(text: str) -> tuple[float, float]:
     if not lo < hi:
         raise UsageError(f"--domain needs lo < hi, got {text!r}")
     return lo, hi
+
+
+def _validate(args) -> None:
+    """Reject non-finite float flags and integer flags below their minimum."""
+    for name, val in vars(args).items():
+        if isinstance(val, float) and not math.isfinite(val):
+            raise UsageError(f"--{name.replace('_', '-')} must be finite, got {val}")
+    for name, low in INT_MINIMUM.items():
+        if getattr(args, name, low) < low:
+            raise UsageError(f"--{name} must be at least {low}")
+
+
+def _status(values, tol: float) -> str:
+    """PASS only when every value is finite and at most tol."""
+    return "PASS" if all(math.isfinite(v) and v <= tol for v in values) else "FAIL"
+
+
+def _exit_code(curve: GraphCurve, truncated: bool, code: int) -> int:
+    """3 with a warning on stderr when the solve truncated its domain, else code."""
+    if truncated:
+        a, b = curve.domain
+        print(f"warning: solve truncated, achieved domain [{_g17(a)}, {_g17(b)}]", file=sys.stderr)
+        return 3
+    return code
 
 
 def _merge_domain(argv: list[str]) -> list[str]:
@@ -133,8 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _build_curve(args, family_alpha: float) -> tuple[GraphCurve, bool]:
     """Curve from flags; returns it with a truncation flag for solver paths."""
     domain = _parse_domain(args.domain) if args.domain is not None else None
-    if args.samples < 2:
-        raise UsageError("--samples must be at least 2")
 
     if args.solve:
         lo, hi = domain if domain is not None else (-1.0, 1.0)
@@ -171,12 +192,7 @@ def _summary(curve: GraphCurve, report, truncated: bool) -> dict:
         "inferred_c": report.c_used,
         "achieved_domain": [a, b],
         "truncated": truncated,
-        "admissibility_max": report.max_abs["admissibility"],
-        "el_real_max": report.max_abs["el_real"],
-        "el_dual_max": report.max_abs["el_dual"],
-        "first_integral_max": report.max_abs["first_integral"],
-        "characterization_re_max": report.max_abs["characterization_re"],
-        "characterization_du_max": report.max_abs["characterization_du"],
+        **{f"{name}_max": val for name, val in report.max_abs.items()},
     }
 
 
@@ -204,12 +220,7 @@ def cmd_generate(args) -> int:
             "summary": _summary(curve, report, truncated),
         }
         print(json.dumps(payload, indent=2))
-
-    if truncated:
-        a, b = curve.domain
-        print(f"warning: solve truncated, achieved domain [{_g17(a)}, {_g17(b)}]", file=sys.stderr)
-        return 3
-    return 0
+    return _exit_code(curve, truncated, 0)
 
 
 def cmd_verify(args) -> int:
@@ -218,20 +229,13 @@ def cmd_verify(args) -> int:
     report = _report(curve, args)
     tol = args.tol if args.tol is not None else (NUMERIC_TOL if args.solve else CLOSED_TOL)
 
-    worst = max(report.max_abs.values())
-    for name in (
-        "admissibility", "el_real", "el_dual",
-        "first_integral", "characterization_re", "characterization_du",
-    ):
-        print(f"{name:<22} {_g17(report.max_abs[name])}")
+    for name, val in report.max_abs.items():
+        print(f"{name:<22} {_g17(val)}")
     print(f"{'inferred_c':<22} {_g17(report.c_used)}")
     print(f"{'tolerance':<22} {_g17(tol)}")
-    status = "PASS" if worst <= tol else "FAIL"
+    status = _status(report.max_abs.values(), tol)
     print(f"{'result':<22} {status}")
-    if truncated:
-        a, b = curve.domain
-        print(f"warning: solve truncated, achieved domain [{_g17(a)}, {_g17(b)}]", file=sys.stderr)
-    return 0 if status == "PASS" else 1
+    return _exit_code(curve, truncated, 0 if status == "PASS" else 1)
 
 
 def cmd_energy(args) -> int:
@@ -240,15 +244,11 @@ def cmd_energy(args) -> int:
     print(f"e0 = {_g17(ev.e0)}")
     print(f"e1 = {_g17(ev.e1)}")
     print(f"total = {_g17(ev.total.re)} + {_g17(ev.total.du)} eps")
-    if truncated:
-        a, b = curve.domain
-        print(f"warning: solve truncated, achieved domain [{_g17(a)}, {_g17(b)}]", file=sys.stderr)
-        return 3
-    return 0
+    return _exit_code(curve, truncated, 0)
 
 
 def cmd_variation(args) -> int:
-    curve, _ = _build_curve(args, args.alpha)
+    curve, truncated = _build_curve(args, args.alpha)
     if args.perturb != 0.0:
         a, b = curve.domain
         bump = BumpSum((Bump(0.5 * (a + b), 0.3 * (b - a)),), (1.0,))
@@ -256,8 +256,7 @@ def cmd_variation(args) -> int:
 
     u = DirectionSpec(args.v)
     tol = args.tol if args.tol is not None else VARIATION_TOL
-    worst_re = 0.0
-    worst_du = 0.0
+    abs_re, abs_du = [], []
     for i in range(args.count):
         var = None
         for attempt in range(VARIATION_RETRIES):
@@ -267,19 +266,20 @@ def cmd_variation(args) -> int:
             except DegenerateVariation:
                 continue
         if var is None:
-            print(f"error: no usable variation for seed {args.seed + i}", file=sys.stderr)
-            return 2
+            raise DegenerateVariation(f"no usable variation for seed {args.seed + i}")
         fv = first_variation(curve, var, u, args.alpha)
-        worst_re = max(worst_re, abs(fv.re))
-        worst_du = max(worst_du, abs(fv.du))
+        abs_re.append(abs(fv.re))
+        abs_du.append(abs(fv.du))
         print(f"seed {args.seed + i}: dE = {_g17(fv.re)} + {_g17(fv.du)} eps")
 
+    # np.max propagates NaN where the builtin max would skip it.
+    worst_re, worst_du = float(np.max(abs_re)), float(np.max(abs_du))
     print(f"{'max_abs_re':<22} {_g17(worst_re)}")
     print(f"{'max_abs_du':<22} {_g17(worst_du)}")
     print(f"{'tolerance':<22} {_g17(tol)}")
-    status = "PASS" if max(worst_re, worst_du) <= tol else "FAIL"
+    status = _status((worst_re, worst_du), tol)
     print(f"{'result':<22} {status}")
-    return 0 if status == "PASS" else 1
+    return _exit_code(curve, truncated, 0 if status == "PASS" else 1)
 
 
 def main(argv=None) -> int:
@@ -287,16 +287,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_merge_domain(argv))
     try:
+        _validate(args)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidParams, DomainError, OutOfDomain) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ImmediateSingularity as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except DualcatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def run() -> None:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicHermiteSpline
 
-from .dual import DirectionSpec, DualScalar, DualVec2, dual_dot
+from .dual import DirectionSpec, DualScalar, DualVec2, _dedim, dual_dot
 from .errors import InvalidParams, OutOfDomain
 
 if TYPE_CHECKING:
@@ -79,10 +79,6 @@ class Coordinate:
         return Coordinate(lambda x: slope * np.asarray(x, float) + intercept, _const(slope), _const(0.0))
 
 
-def _dedim(out):
-    return float(out) if np.ndim(out) == 0 else out
-
-
 class SampledCoordinate(Coordinate):
     """Coordinate built from grid samples of value, first and second derivative.
 
@@ -122,7 +118,7 @@ class Numeric:
 
 @dataclass(frozen=True)
 class Frame:
-    """Unit tangent and normal at a point, as dual-plane vectors."""
+    """Unit tangent and normal at a point (or a grid), as dual-plane vectors."""
 
     T: DualVec2
     N: DualVec2
@@ -171,50 +167,64 @@ class GraphCurve:
     def admissibility_residual(self, x):
         """Defect ``w' + y'*z'``; identically zero on admissible curves."""
         self._check(x)
-        return self.w.deriv(x) + self.y.deriv(x) * self.z.deriv(x)
+        return _dedim(self.w.deriv(x) + self.y.deriv(x) * self.z.deriv(x))
 
-    def frame(self, x: float) -> Frame:
-        """Frenet frame, assuming the curve is admissible at x.
+    def velocity(self, x) -> DualVec2:
+        """Derivative ``gamma' = (1, y') + eps*(w', z')``; x may be an array."""
+        self._check(x)
+        return DualVec2(
+            (1.0, _dedim(self.y.deriv(x))), (_dedim(self.w.deriv(x)), _dedim(self.z.deriv(x)))
+        )
+
+    def height(self, u: DirectionSpec, x) -> DualScalar:
+        """Dual height ``<gamma, u> = y + eps*(z + v*x)``; x may be an array.
+
+        The real part of u is vertical, so w has coefficient zero and is not
+        evaluated: on perturbed curves each w value is its own quadrature.
+        """
+        self._check(x)
+        x = _dedim(np.asarray(x, dtype=float))
+        return DualScalar(_dedim(self.y.value(x)), _dedim(self.z.value(x) + u.v * x))
+
+    def frame(self, x) -> Frame:
+        """Frenet frame, assuming the curve is admissible at x (a point or an array).
 
         The tangent is the Euclidean tangent plus ``eps*z'*N``; the normal is
         the Euclidean normal (left-pointing: ``(-y', 1)/nu``) minus
         ``eps*z'*T``.  Both have unit dual norm.
         """
         self._check(x)
-        x = float(x)
-        yp = float(self.y.deriv(x))
-        zp = float(self.z.deriv(x))
-        nu = np.hypot(1.0, yp)
+        yp = _dedim(self.y.deriv(x))
+        zp = _dedim(self.z.deriv(x))
+        nu = _dedim(np.hypot(1.0, yp))
         t_re = (1.0 / nu, yp / nu)
         n_re = (-yp / nu, 1.0 / nu)
         T = DualVec2(t_re, (zp * n_re[0], zp * n_re[1]))
         N = DualVec2(n_re, (-zp * t_re[0], -zp * t_re[1]))
-        return Frame(T, N, float(nu))
+        return Frame(T, N, nu)
 
-    def curvature(self, x: float) -> CurvatureSample:
+    def curvature(self, x) -> CurvatureSample:
         """Signed curvature ``y''/nu**3 + eps*z''/nu`` for an admissible curve."""
         self._check(x)
-        x = float(x)
-        yp = float(self.y.deriv(x))
-        ypp = float(self.y.deriv2(x))
-        zpp = float(self.z.deriv2(x))
-        nu = float(np.hypot(1.0, yp))
-        return CurvatureSample(x, DualScalar(ypp / nu**3, zpp / nu))
+        yp = _dedim(self.y.deriv(x))
+        ypp = _dedim(self.y.deriv2(x))
+        zpp = _dedim(self.z.deriv2(x))
+        nu = _dedim(np.hypot(1.0, yp))
+        # np.power, not the float operator: points and grids round alike.
+        kappa = DualScalar(ypp / _dedim(np.power(nu, 3)), zpp / nu)
+        return CurvatureSample(_dedim(np.asarray(x, dtype=float)), kappa)
 
-    def characterization_residual(self, alpha: float, u: DirectionSpec, x: float) -> DualScalar:
+    def characterization_residual(self, alpha: float, u: DirectionSpec, x) -> DualScalar:
         """Residual of the curvature identity ``kappa = alpha*<N,u>/<gamma,u>``.
 
         Vanishes exactly on the curves that are stationary for the potential
         energy with exponent alpha and reference direction u.  Raises
-        ZeroRealPart when the height ``y(x)`` is zero.
+        ZeroRealPart when the height ``y(x)`` is zero, or so small (about
+        1e-150) that its square underflows.
         """
-        self._check(x)
-        x = float(x)
         kappa = self.curvature(x).kappa
-        fr = self.frame(x)
-        num = dual_dot(fr.N, u.vector)
-        den = dual_dot(self.evaluate(x), u.vector)
-        return kappa - float(alpha) * (num / den)
+        num = dual_dot(self.frame(x).N, u.vector)
+        return kappa - float(alpha) * (num / self.height(u, x))
 
     def arc_length(self, x0: float, x1: float) -> float:
         """Euclidean arc length of the real part between x0 and x1."""

@@ -5,6 +5,10 @@ derivative information exactly: multiplying two dual numbers applies the
 product rule to the eps parts, and lifting a smooth real function through
 ``lift`` applies the chain rule.  Vectors over the dual numbers carry a plane
 curve together with its first-order deformation field.
+
+The parts of ``DualScalar`` and ``DualVec2`` are floats or NumPy arrays of one
+shape; on arrays every operation acts elementwise, so one identity evaluates
+at a point or on a whole grid.  Float inputs give float results.
 """
 
 from __future__ import annotations
@@ -13,18 +17,34 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .errors import DomainError, ZeroRealPart
 
-# Divisors whose real part is at or below this magnitude count as zero.
+# Magnitudes at or below this count as zero: a vector's norm, and the square of
+# a divisor's real part (the eps part of a quotient divides by it).
 DIV_GUARD = 1e-300
+
+
+def _dedim(out):
+    """Float for a 0-d result, the array otherwise."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _vanishes(mag) -> bool:
+    """Whether a norm or squared real part is zero to the guard (anywhere, for arrays)."""
+    return bool(np.any(mag <= DIV_GUARD))
 
 
 @dataclass(frozen=True)
 class DualScalar:
-    """Dual number ``re + du*eps``."""
+    """Dual number ``re + du*eps``; the parts are floats or arrays of one shape."""
 
     re: float
     du: float = 0.0
+
+    # NumPy arrays on the left of an operator defer to the reflected methods.
+    __array_ufunc__ = None
 
     def __add__(self, other: "DualScalar | float") -> "DualScalar":
         other = _coerce(other)
@@ -50,13 +70,25 @@ class DualScalar:
 
     def __truediv__(self, other: "DualScalar | float") -> "DualScalar":
         other = _coerce(other)
-        if abs(other.re) <= DIV_GUARD:
+        sq = other.re * other.re
+        if _vanishes(sq):
             raise ZeroRealPart(f"division by {other}: real part is zero")
-        inv = 1.0 / other.re
-        return DualScalar(self.re * inv, (self.du * other.re - self.re * other.du) * inv * inv)
+        return DualScalar(self.re / other.re, (self.du * other.re - self.re * other.du) / sq)
 
     def __rtruediv__(self, other: "DualScalar | float") -> "DualScalar":
         return _coerce(other) / self
+
+    def __pow__(self, p: float) -> "DualScalar":
+        """Real power ``re**p + p*du*re**(p-1)*eps``; needs ``re > 0`` unless p is an integer >= 1.
+
+        np.power, not the float operator, so points and grids round alike.
+        """
+        p = float(p)
+        if not (p.is_integer() and p >= 1.0) and np.any(self.re <= 0.0):
+            raise DomainError(f"dual power {p:g} needs a positive real part")
+        return DualScalar(
+            _dedim(np.power(self.re, p)), p * self.du * _dedim(np.power(self.re, p - 1.0))
+        )
 
     def __str__(self) -> str:
         return f"{self.re} + {self.du} eps"
@@ -65,7 +97,7 @@ class DualScalar:
 def _coerce(value: "DualScalar | float") -> DualScalar:
     if isinstance(value, DualScalar):
         return value
-    return DualScalar(float(value), 0.0)
+    return DualScalar(value if isinstance(value, np.ndarray) else float(value), 0.0)
 
 
 @dataclass(frozen=True)
@@ -186,8 +218,8 @@ def dual_dot(u: DualVec2, w: DualVec2) -> DualScalar:
 
 def dual_norm(u: DualVec2) -> DualScalar:
     """Norm ``|u_re| + eps*<u_re, u_du>/|u_re|``; needs a nonvanishing real part."""
-    r = math.hypot(u.re[0], u.re[1])
-    if r <= DIV_GUARD:
+    r = _dedim(np.hypot(u.re[0], u.re[1]))
+    if _vanishes(r):
         raise ZeroRealPart("norm of a vector with zero real part")
     return DualScalar(r, (u.re[0] * u.du[0] + u.re[1] * u.du[1]) / r)
 

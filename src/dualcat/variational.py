@@ -17,7 +17,7 @@ from scipy.integrate import quad
 
 from . import quadrature
 from .curves import ClosedForm, Coordinate, GraphCurve
-from .dual import DirectionSpec, DualScalar
+from .dual import DirectionSpec, DualScalar, dual_norm
 from .errors import DegenerateVariation, DomainError, InvalidParams
 
 # Bump amplitude used for seeded variations; small enough that quadrature
@@ -35,10 +35,11 @@ FD_STEP = 1e-4
 class EnergyValue:
     """Dual energy with its real/eps split.
 
-    ``e0`` integrates ``y**alpha * nu`` and ``e1`` integrates
-    ``alpha*(z + v*x)*y**(alpha-1)*nu``; ``total`` additionally carries the
-    admissibility defect through the dual speed, so on admissible curves
-    ``total = e0 + e1*eps`` up to rounding.
+    ``total`` integrates ``<gamma,u>**alpha * |gamma'|`` in dual arithmetic.
+    ``e0`` is its real part and ``e1`` integrates the eps part of the
+    potential, ``alpha*(z + v*x)*y**(alpha-1)``, times the real speed nu; the
+    eps part of ``total`` also carries the admissibility defect through the
+    dual speed, so on admissible curves ``total = e0 + e1*eps`` up to rounding.
     """
 
     total: DualScalar
@@ -46,10 +47,12 @@ class EnergyValue:
     e1: float
 
 
-def _heights(curve: GraphCurve, x: np.ndarray) -> np.ndarray:
+def _heights(curve: GraphCurve, x) -> np.ndarray:
+    """Heights y(x) at points of the curve's interval, required finite and positive."""
+    curve._check(x)
     y = np.asarray(curve.y.value(x), dtype=float)
     if np.any(y <= 0.0) or not np.all(np.isfinite(y)):
-        raise DomainError("curve height must stay positive on the integration interval")
+        raise DomainError("curve height must stay positive and finite at the evaluation points")
     return y
 
 
@@ -67,31 +70,19 @@ def energy(
     bumps.
     """
     a, b = curve.domain
-    if breakpoints:
-        x, wts = quadrature.partitioned_nodes(a, b, breakpoints, panels)
-    else:
-        x, wts = quadrature.gauss_legendre_nodes(a, b, panels)
-    y = _heights(curve, x)
-    yp = np.asarray(curve.y.deriv(x), float)
-    zv = np.asarray(curve.z.value(x), float)
-    zp = np.asarray(curve.z.deriv(x), float)
-    wp = np.asarray(curve.w.deriv(x), float)
-    nu = np.hypot(1.0, yp)
-
-    pot = y**alpha
-    pot_du = alpha * (zv + u.v * x) * y ** (alpha - 1.0)
-    defect = (wp + yp * zp) / nu
-
-    e0 = float(np.dot(wts, pot * nu))
-    e1 = float(np.dot(wts, pot_du * nu))
-    total_du = float(np.dot(wts, pot * defect + pot_du * nu))
-    return EnergyValue(DualScalar(e0, total_du), e0, e1)
+    x, wts = quadrature.partitioned_nodes(a, b, breakpoints, panels)
+    _heights(curve, x)
+    pot = curve.height(u, x) ** alpha
+    speed = dual_norm(curve.velocity(x))
+    integrand = pot * speed
+    e0 = float(np.dot(wts, integrand.re))
+    e1 = float(np.dot(wts, pot.du * speed.re))
+    return EnergyValue(DualScalar(e0, float(np.dot(wts, integrand.du))), e0, e1)
 
 
 def el_residual_real(curve: GraphCurve, alpha: float, x):
     """Residual ``y''/(1 + y'**2) - alpha/y`` of the graph equation."""
-    curve._check(x)
-    y = _heights(curve, np.asarray(x, dtype=float))
+    y = _heights(curve, x)
     yp = curve.y.deriv(x)
     ypp = curve.y.deriv2(x)
     return ypp / (1.0 + yp * yp) - alpha / y
@@ -103,7 +94,6 @@ def el_residual_dual(curve: GraphCurve, alpha: float, u: DirectionSpec, x):
     This is the linearization of the graph equation along the deformation,
     and vanishes on the eps part of a stationary admissible curve.
     """
-    curve._check(x)
     xs = np.asarray(x, dtype=float)
     y = _heights(curve, xs)
     yp = curve.y.deriv(x)
@@ -117,16 +107,14 @@ def first_integral_residual(curve: GraphCurve, alpha: float, c: float, x):
     """Residual ``1 + y'**2 - c**2 * y**(2*alpha)`` of the conserved quantity."""
     if not (c > 0.0 and np.isfinite(c)):
         raise InvalidParams(f"c must be positive, got {c}")
-    curve._check(x)
-    y = _heights(curve, np.asarray(x, dtype=float))
+    y = _heights(curve, x)
     yp = curve.y.deriv(x)
     return 1.0 + yp * yp - c * c * y ** (2.0 * alpha)
 
 
 def infer_c(curve: GraphCurve, alpha: float, x0: float) -> float:
     """Constant ``sqrt((1 + y'**2) / y**(2*alpha))`` read off at one point."""
-    curve._check(x0)
-    y = float(_heights(curve, np.asarray(x0, dtype=float)))
+    y = float(_heights(curve, x0))
     yp = float(curve.y.deriv(x0))
     return float(np.sqrt((1.0 + yp * yp) / y ** (2.0 * alpha)))
 
@@ -135,8 +123,7 @@ def multiplier_residual(curve: GraphCurve, alpha: float, c: float, x):
     """Residual ``y''/c - alpha*c*y**(2*alpha - 1)`` of the scaled graph equation."""
     if not (c > 0.0 and np.isfinite(c)):
         raise InvalidParams(f"c must be positive, got {c}")
-    curve._check(x)
-    y = _heights(curve, np.asarray(x, dtype=float))
+    y = _heights(curve, x)
     ypp = curve.y.deriv2(x)
     return ypp / c - alpha * c * y ** (2.0 * alpha - 1.0)
 
@@ -273,7 +260,7 @@ def perturbed_curve(
 
     The rebuilt w has ``w' = -y'*z'`` for the new coordinates, so the result
     is admissible by construction; its value is anchored at the left endpoint
-    to the original w.
+    to the original w, read only when a w value is asked for.
     """
     a, _ = curve.domain
     s = float(scale)
@@ -295,11 +282,9 @@ def perturbed_curve(
     def w_d2(x):
         return -(y2.deriv2(x) * z2.deriv(x) + y2.deriv(x) * z2.deriv2(x))
 
-    w_anchor = float(curve.w.value(a))
-
     def w_scalar(xx: float) -> float:
         val, _ = quad(w_d1, a, xx, epsabs=1e-12, epsrel=1e-12, limit=200)
-        return w_anchor + val
+        return float(curve.w.value(a)) + val
 
     def w_val(x):
         if np.ndim(x) == 0:
@@ -334,11 +319,7 @@ def first_variation(
     breaks = var.delta_y.edges() + var.delta_z.edges()
     plus = energy(perturbed_curve(curve, var.delta_y, var.delta_z, h_eff), u, alpha, panels, breaks)
     minus = energy(perturbed_curve(curve, var.delta_y, var.delta_z, -h_eff), u, alpha, panels, breaks)
-    inv = 0.5 / h_eff
-    return DualScalar(
-        (plus.total.re - minus.total.re) * inv,
-        (plus.total.du - minus.total.du) * inv,
-    )
+    return (plus.total - minus.total) * (0.5 / h_eff)
 
 
 @dataclass(frozen=True)
@@ -372,58 +353,32 @@ def residual_report(
     """Evaluate all pointwise residuals on a uniform (or given) grid."""
     a, b = curve.domain
     xs = np.linspace(a, b, num) if grid is None else np.asarray(grid, dtype=float)
-    curve._check(xs)
-
-    y = np.asarray(curve.y.value(xs), float)
-    yp = np.asarray(curve.y.deriv(xs), float)
-    ypp = np.asarray(curve.y.deriv2(xs), float)
-    wv = np.asarray(curve.w.value(xs), float)
-    wp = np.asarray(curve.w.deriv(xs), float)
-    zv = np.asarray(curve.z.value(xs), float)
-    zp = np.asarray(curve.z.deriv(xs), float)
-    zpp = np.asarray(curve.z.deriv2(xs), float)
-    nu = np.hypot(1.0, yp)
-    v = u.v
-
-    if np.any(y <= 0.0):
-        raise DomainError("curve height must stay positive on the report grid")
-
+    y = _heights(curve, xs)
     c_used = resolve_c(curve, alpha, float(xs[len(xs) // 2])) if c is None else float(c)
-
-    kappa_re = ypp / nu**3
-    kappa_du = zpp / nu
-
-    # Dual division <N,u>/<gamma,u> expanded in components.
-    num_re = 1.0 / nu
-    num_du = -yp * (v + zp) / nu
-    den_re = y
-    den_du = v * xs + zv
-    rhs_re = num_re / den_re
-    rhs_du = (num_du * den_re - num_re * den_du) / (den_re * den_re)
+    kappa = curve.curvature(xs).kappa
+    char = curve.characterization_residual(alpha, u, xs)
+    admis = curve.admissibility_residual(xs)
 
     columns = {
         "x": xs,
         "y": y,
-        "w": wv,
-        "z": zv,
-        "yp": yp,
-        "zp": zp,
-        "kappa_re": kappa_re,
-        "kappa_du": kappa_du,
-        "char_res_re": kappa_re - alpha * rhs_re,
-        "char_res_du": kappa_du - alpha * rhs_du,
-        "admis_res": wp + yp * zp,
+        "w": np.asarray(curve.w.value(xs), float),
+        "z": np.asarray(curve.z.value(xs), float),
+        "yp": np.asarray(curve.y.deriv(xs), float),
+        "zp": np.asarray(curve.z.deriv(xs), float),
+        "kappa_re": kappa.re,
+        "kappa_du": kappa.du,
+        "char_res_re": char.re,
+        "char_res_du": char.du,
+        "admis_res": admis,
     }
-    el_re = ypp / (1.0 + yp * yp) - alpha / y
-    el_du = zpp + alpha * (yp / y) * (zp + v) + alpha * (zv + v * xs) / (y * y)
-    fi = 1.0 + yp * yp - c_used * c_used * y ** (2.0 * alpha)
-
-    max_abs = {
-        "admissibility": float(np.max(np.abs(columns["admis_res"]))),
-        "el_real": float(np.max(np.abs(el_re))),
-        "el_dual": float(np.max(np.abs(el_du))),
-        "first_integral": float(np.max(np.abs(fi))),
-        "characterization_re": float(np.max(np.abs(columns["char_res_re"]))),
-        "characterization_du": float(np.max(np.abs(columns["char_res_du"]))),
+    residuals = {
+        "admissibility": admis,
+        "el_real": el_residual_real(curve, alpha, xs),
+        "el_dual": el_residual_dual(curve, alpha, u, xs),
+        "first_integral": first_integral_residual(curve, alpha, c_used, xs),
+        "characterization_re": char.re,
+        "characterization_du": char.du,
     }
+    max_abs = {name: float(np.max(np.abs(r))) for name, r in residuals.items()}
     return ResidualReport(xs, columns, max_abs, c_used)

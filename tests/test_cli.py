@@ -71,8 +71,47 @@ class TestGenerate:
         assert code == 3
         assert "truncated" in err
 
+    def test_readme_example_columns(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "generate", "--alpha", "-1", "--R", "2", "--v", "0.5",
+            "--format", "csv", "--samples", "3",
+        )
+        assert code == 0
+        assert out.splitlines()[1].startswith(
+            "-1.998,0.089420355624432027,0.044710177812216013,0.999,22.343905770087243,"
+        )
+
+
+@pytest.mark.parametrize("argv", [("verify",), ("energy",), ("variation", "--count", "1")])
+def test_every_command_exits_3_on_truncation(capsys, argv):
+    code, _, err = run_cli(capsys, *argv, "--alpha", "3", "--solve", "--domain", "-2:2")
+    assert code == 3
+    assert "truncated" in err
+
 
 class TestVerify:
+    def test_readme_example(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--alpha", "1", "--c", "2", "--v", "1.1", "--d1", "-0.6")
+        assert code == 0
+        assert out == (
+            "admissibility          8.8817841970012523e-16\n"
+            "el_real                6.6613381477509392e-16\n"
+            "el_dual                8.8817841970012523e-16\n"
+            "first_integral         1.7763568394002505e-15\n"
+            "characterization_re    6.6613381477509392e-16\n"
+            "characterization_du    8.8817841970012523e-16\n"
+            "inferred_c             2\n"
+            "tolerance              1e-08\n"
+            "result                 PASS\n"
+        )
+
+    def test_nan_residual_fails(self, capsys):
+        # c = 1e-300 makes c**2 * y**2 = 0 * inf: the first integral is NaN.
+        code, out, _ = run_cli(capsys, "verify", "--alpha", "1", "--c", "1e-300")
+        assert code == 1
+        assert "first_integral         nan\n" in out
+        assert out.endswith("result                 FAIL\n")
+
     def test_closed_form_passes(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--alpha", "1", "--c", "2", "--v", "1.1",
@@ -107,6 +146,11 @@ class TestVerify:
 
 
 class TestEnergy:
+    def test_readme_example(self, capsys):
+        code, out, _ = run_cli(capsys, "energy", "--alpha", "1", "--domain", "0:1")
+        assert code == 0
+        assert out == "e0 = 1.4067151019617548\ne1 = 0\ntotal = 1.4067151019617548 + 0 eps\n"
+
     def test_worked_value(self, capsys):
         code, out, _ = run_cli(capsys, "energy", "--alpha", "1", "--domain", "0:1")
         assert code == 0
@@ -151,6 +195,14 @@ class TestErrors:
             ("generate", "--alpha", "1", "--c", "-1"),
             ("generate", "--alpha", "-1", "--domain", "-5:5"),  # outside the rim
             ("energy", "--alpha", "0", "--c", "1.5", "--m", "0"),  # height crosses zero
+            ("variation", "--alpha", "1", "--count", "0"),
+            ("variation", "--alpha", "1", "--v", "inf", "--count", "1"),
+            ("energy", "--alpha", "1", "--panels", "0"),
+            ("verify", "--alpha", "nan", "--solve"),
+            ("verify", "--alpha", "1", "--c", "1e305", "--samples", "3"),  # height overflows
+            ("generate", "--alpha", "1", "--c", "1e305", "--samples", "3"),
+            # height 1e-305 everywhere: dual division by a zero real part
+            ("verify", "--alpha", "1", "--c", "1e305", "--domain", "-1e-306:1e-306", "--samples", "3"),
         ],
     )
     def test_usage_errors_exit_2(self, capsys, argv):

@@ -83,6 +83,17 @@ class TestFrame:
         assert fr.T.du == (-0.0, -1.0)
         assert fr.N.du == (1.0, 0.0)
 
+    def test_grid_matches_points(self):
+        cv = catenary_alpha1(CatenaryParams(alpha=1.0, c=1.7, v=0.8, d1=0.5, d2=-0.2))
+        xs = np.linspace(-1.0, 1.0, 7)
+        grid = cv.frame(xs)
+        for i, x in enumerate(xs):
+            pt = cv.frame(float(x))
+            assert [c[i] for c in grid.T.re + grid.T.du + grid.N.re + grid.N.du] == list(
+                pt.T.re + pt.T.du + pt.N.re + pt.N.du
+            )
+            assert grid.nu[i] == pt.nu
+
     def test_unit_norms_and_orthogonality(self):
         cv = catenary_alpha1(CatenaryParams(alpha=1.0, c=1.7, v=0.8, d1=0.5, d2=-0.2))
         for x in np.linspace(-1.0, 1.0, 21):

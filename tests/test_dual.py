@@ -1,7 +1,9 @@
 """Dual-number algebra: exact identities, lifted functions, vectors."""
 
 import math
+import operator
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -163,6 +165,57 @@ class TestVectors:
         assert b - a == DualVec2((4, 4), (4, 4))
         s = DualScalar(2, 1)
         assert a.scale(s) == DualVec2((2, 4), (1 * 1 + 2 * 3, 1 * 2 + 2 * 4))
+
+
+class TestArrays:
+    def test_elementwise_matches_scalars(self):
+        rng = np.random.default_rng(3)
+        a_re, a_du, b_re, b_du = rng.uniform(-5.0, 5.0, (4, 40))
+        b_re += np.copysign(0.5, b_re)  # keep divisors away from zero
+        a, b = DualScalar(a_re, a_du), DualScalar(b_re, b_du)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            grid = op(a, b)
+            for i in range(40):
+                pt = op(DualScalar(float(a_re[i]), float(a_du[i])), DualScalar(float(b_re[i]), float(b_du[i])))
+                assert (grid.re[i], grid.du[i]) == (pt.re, pt.du)
+        v = DualVec2((a_re, b_re), (a_du, b_du))
+        grid = dual_norm(v)
+        for i in range(40):
+            pt = dual_norm(DualVec2((float(a_re[i]), float(b_re[i])), (float(a_du[i]), float(b_du[i]))))
+            assert (grid.re[i], grid.du[i]) == (pt.re, pt.du)
+
+    def test_array_on_the_left(self):
+        got = np.array([1.0, 2.0]) * DualScalar(np.array([3.0, 4.0]), 1.0)
+        assert isinstance(got, DualScalar)
+        assert got.re.tolist() == [3.0, 8.0] and got.du.tolist() == [1.0, 2.0]
+
+    def test_scalar_parts_stay_floats(self):
+        assert type((DualScalar(2.0, 1.0) ** 0.5).re) is float
+        assert type(dual_norm(DualVec2((3.0, 4.0), (1.0, 0.0))).re) is float
+
+    def test_zero_real_part_anywhere_raises(self):
+        with pytest.raises(ZeroRealPart):
+            DualScalar(np.ones(3)) / DualScalar(np.array([1.0, 0.0, 2.0]))
+
+
+class TestPower:
+    def test_values(self):
+        assert DualScalar(4.0, 1.0) ** 0.5 == DualScalar(2.0, 0.25)
+        assert DualScalar(-2.0, 1.0) ** 3 == DualScalar(-8.0, 12.0)
+        assert DualScalar(3.0, 5.0) ** 0 == DualScalar(1.0, 0.0)
+
+    @given(st.floats(min_value=0.01, max_value=100.0), finite, st.floats(min_value=-3.0, max_value=3.0))
+    def test_matches_lifted_power(self, re, du, p):
+        got = DualScalar(re, du) ** p
+        want = lift(pow_alpha(p), DualScalar(re, du))
+        assert got.re == pytest.approx(want.re, rel=1e-14)
+        assert got.du == pytest.approx(want.du, rel=1e-14, abs=1e-300)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            DualScalar(-1.0, 1.0) ** 0.5
+        with pytest.raises(DomainError):
+            DualScalar(np.array([1.0, 0.0]), 1.0) ** -1
 
 
 class TestRingProperties:

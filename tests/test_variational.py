@@ -87,6 +87,18 @@ class TestEnergy:
         assert coarse.e0 == pytest.approx(fine.e0, abs=1e-12)
         assert coarse.e1 == pytest.approx(fine.e1, abs=1e-12)
 
+    def test_never_reads_w_values(self):
+        # <gamma,u> has no w term, so neither the energy nor its first
+        # variation may evaluate w (on perturbed curves each value is a quad).
+        def no_w(x):
+            raise AssertionError("w.value evaluated")
+
+        y = Coordinate(np.cosh, np.sinh, np.cosh)
+        cv = GraphCurve((-1.0, 1.0), y, Coordinate(no_w, np.zeros_like, np.zeros_like), Coordinate.constant(0.0))
+        assert energy(cv, VERTICAL, 1.0).e0 == pytest.approx(1.0 + math.sinh(2.0) / 2.0, abs=1e-12)
+        fv = first_variation(cv, make_constrained_variation(cv, 0), VERTICAL, 1.0)
+        assert abs(fv.re) <= 1e-6 and abs(fv.du) <= 1e-6
+
     def test_rejects_nonpositive_height(self):
         cv = catenary_alpha0(CatenaryParams(alpha=0.0, c=math.sqrt(2.0), m=0.0), (-2.0, 2.0))
         with pytest.raises(DomainError):
@@ -261,10 +273,11 @@ class TestReport:
         for i, x in enumerate(rep.grid):
             k = cv.curvature(float(x)).kappa
             r = cv.characterization_residual(-1.0, u, float(x))
-            assert rep.columns["kappa_re"][i] == pytest.approx(k.re, rel=1e-13, abs=1e-15)
-            assert rep.columns["kappa_du"][i] == pytest.approx(k.du, rel=1e-13, abs=1e-15)
-            assert rep.columns["char_res_re"][i] == pytest.approx(r.re, abs=1e-13)
-            assert rep.columns["char_res_du"][i] == pytest.approx(r.du, abs=1e-13)
+            assert rep.columns["kappa_re"][i] == k.re
+            assert rep.columns["kappa_du"][i] == k.du
+            assert rep.columns["char_res_re"][i] == r.re
+            assert rep.columns["char_res_du"][i] == r.du
+            assert rep.columns["admis_res"][i] == cv.admissibility_residual(float(x))
 
     def test_explicit_c_override(self):
         cv = catenary_alpha1(CatenaryParams(alpha=1.0, c=2.0))
