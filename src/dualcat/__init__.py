@@ -48,6 +48,7 @@ from .errors import (
     GridMismatch,
     ImmediateSingularity,
     InvalidParams,
+    NumericalFailure,
     OutOfDomain,
     ZeroRealPart,
 )

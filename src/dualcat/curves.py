@@ -10,14 +10,15 @@ part plus an eps correction driven by z.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import CubicHermiteSpline
 
+from . import quadrature
 from .dual import DirectionSpec, DualScalar, DualVec2, _dedim, dual_dot
-from .errors import InvalidParams, OutOfDomain
+from .errors import InvalidParams, NumericalFailure, OutOfDomain
 
 if TYPE_CHECKING:
     from .closed_forms import CatenaryParams
@@ -25,13 +26,10 @@ if TYPE_CHECKING:
 # Absolute slack when checking that a point lies inside a curve's interval.
 DOMAIN_SLACK = 1e-12
 
-# scipy.integrate.quad tolerances for arc length.
-QUAD_EPS = 1e-12
-
-# Arc-length inversion: bisection passes before secant refinement, and the
-# tolerance on the arc-length mismatch.
-BISECT_STEPS = 12
+# Arc length: tolerance on the table total and on each inversion, and the
+# Newton steps an inversion may take.
 ARCLEN_TOL = 1e-12
+NEWTON_STEPS = 32
 
 
 def _const(c: float) -> Callable:
@@ -226,60 +224,60 @@ class GraphCurve:
         num = dual_dot(self.frame(x).N, u.vector)
         return kappa - float(alpha) * (num / self.height(u, x))
 
+    def _table_edges(self) -> np.ndarray:
+        """Start cells for integral tables over the interval: the spline knots
+        of a sampled y inside it, or uniform cells otherwise."""
+        a, b = self.domain
+        if isinstance(self.y, SampledCoordinate):
+            knots = self.y.grid
+            return np.concatenate(([a], knots[(knots > a) & (knots < b)], [b]))
+        return np.linspace(a, b, quadrature.TABLE_START_CELLS + 1)
+
+    @cached_property
+    def _arclength_table(self) -> quadrature.CumulativeIntegral:
+        """Cumulative arc length of the real part, built on first use.
+
+        Refinement halves the start cells where the speed needs it, such as
+        near the steep ends of a circular arc.
+        """
+        return quadrature.CumulativeIntegral(
+            lambda x: np.hypot(1.0, self.y.deriv(x)), self._table_edges(), ARCLEN_TOL
+        )
+
     def arc_length(self, x0: float, x1: float) -> float:
         """Euclidean arc length of the real part between x0 and x1."""
         self._check(x0)
         self._check(x1)
-
-        def speed(x):
-            return np.hypot(1.0, self.y.deriv(x))
-
-        val, _ = quad(speed, x0, x1, epsabs=QUAD_EPS, epsrel=QUAD_EPS, limit=200)
-        return float(val)
+        table = self._arclength_table
+        return float(table(x1) - table(x0))
 
     def x_at_arclength(self, s: float) -> float:
         """Parameter x at which arc length from the left endpoint reaches s.
 
-        The speed is at least 1, so the map is strictly increasing; a short
-        bisection brackets the root and secant iterations polish it.
+        The speed nu is at least 1, so the arc length S(x) is strictly
+        increasing and the table cell whose sums bracket s holds the root.
+        Linear interpolation in that cell starts Newton steps
+        ``x -= (S(x) - s)/nu(x)``, kept inside the cell; an inversion that
+        does not converge raises NumericalFailure.
         """
         a, b = self.domain
-        total = self.arc_length(a, b)
+        table = self._arclength_table
+        total = float(table.sums[-1])
         if s < -ARCLEN_TOL or s > total + ARCLEN_TOL:
             raise OutOfDomain(f"arc length {s} outside [0, {total}]")
-        s = min(max(s, 0.0), total)
-
-        def g(x: float) -> float:
-            return self.arc_length(a, x) - s
-
-        lo, hi = a, b
-        glo, ghi = -s, total - s
-        if abs(glo) <= ARCLEN_TOL:
+        if s <= ARCLEN_TOL:
             return a
-        if abs(ghi) <= ARCLEN_TOL:
+        if s >= total - ARCLEN_TOL:
             return b
-        for _ in range(BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            gm = g(mid)
-            if abs(gm) <= ARCLEN_TOL:
-                return mid
-            if gm < 0.0:
-                lo, glo = mid, gm
-            else:
-                hi, ghi = mid, gm
-        # Secant refinement inside the bracket; the speed bound keeps it stable.
-        x0, g0, x1, g1 = lo, glo, hi, ghi
-        for _ in range(60):
-            if g1 == g0:
-                break
-            x2 = x1 - g1 * (x1 - x0) / (g1 - g0)
-            x2 = min(max(x2, lo), hi)
-            g2 = g(x2)
-            if abs(g2) <= ARCLEN_TOL:
-                return x2
-            if g2 < 0.0:
-                lo = x2
-            else:
-                hi = x2
-            x0, g0, x1, g1 = x1, g1, x2, g2
-        return x1
+        k = int(np.searchsorted(table.sums, s, side="right")) - 1
+        lo, hi = float(table.edges[k]), float(table.edges[k + 1])
+        s_lo, s_hi = float(table.sums[k]), float(table.sums[k + 1])
+        x = lo + (hi - lo) * (s - s_lo) / (s_hi - s_lo)
+        tol = max(ARCLEN_TOL, quadrature.ROUNDING * total)
+        for _ in range(NEWTON_STEPS):
+            s_x, nu = table.partial(k, x)
+            r = float(s_x) - s
+            if abs(r) <= tol:
+                return x
+            x = min(max(x - r / float(nu), lo), hi)
+        raise NumericalFailure(f"arc-length inversion at s = {s} did not converge")

@@ -31,3 +31,7 @@ class GridMismatch(DualcatError):
 
 class DegenerateVariation(DualcatError):
     """A constrained variation could not be built for the requested seed."""
+
+
+class NumericalFailure(DualcatError):
+    """A numerical method met a non-finite value or did not converge."""

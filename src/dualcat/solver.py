@@ -16,11 +16,15 @@ import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
 from .curves import GraphCurve, Numeric, SampledCoordinate
-from .errors import GridMismatch, ImmediateSingularity, InvalidParams
+from .errors import GridMismatch, ImmediateSingularity, InvalidParams, NumericalFailure
 from .quadrature import cell_integrals
 
 # A direction that truncates in fewer steps than this aborts the solve.
 MIN_STEPS = 10
+
+# Most steps a solve may take across its domain; its time and memory grow in
+# proportion to the step count.
+MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -74,9 +78,12 @@ class _GuardHit(Exception):
     pass
 
 
-def _validate(cfg: SolverConfig) -> None:
+def _validate(cfg: SolverConfig, span: float) -> None:
+    """Check the configuration for a solve across an interval of length span."""
     if not (cfg.step > 0.0 and np.isfinite(cfg.step)):
         raise InvalidParams(f"step must be positive, got {cfg.step}")
+    if not span / cfg.step <= MAX_STEPS:
+        raise InvalidParams(f"step {cfg.step:g} needs more than {MAX_STEPS} steps across length {span:g}")
     if not (cfg.y_min > 0.0 and cfg.slope_max > 0.0):
         raise InvalidParams("y_min and slope_max must be positive")
     if cfg.method != "RK4":
@@ -130,10 +137,10 @@ def solve_real(
     config: SolverConfig = SolverConfig(),
 ) -> SampledReal:
     """Integrate the graph equation from (x0, y0, yp0) across the domain."""
-    _validate(config)
     a, b = float(domain[0]), float(domain[1])
     if not (a < b and np.isfinite(a) and np.isfinite(b)):
         raise InvalidParams(f"domain must be a finite interval with a < b, got ({a}, {b})")
+    _validate(config, b - a)
     if not (init.y0 > 0.0 and np.isfinite(init.y0)):
         raise InvalidParams(f"y0 must be positive, got {init.y0}")
     if not (a - 1e-12 <= init.x0 <= b + 1e-12):
@@ -173,9 +180,10 @@ def solve_dual(
 
     The real solution is interpolated with cubic Hermite splines for the RK4
     half-step values; at the nodes the splines reproduce the stored samples.
+    A z or z' that overflows raises NumericalFailure.
     """
-    _validate(config)
     grid = y_solution.grid
+    _validate(config, grid[-1] - grid[0])
     y_of = CubicHermiteSpline(grid, y_solution.val, y_solution.d1)
     yp_of = CubicHermiteSpline(grid, y_solution.d1, y_solution.d2)
     i0 = y_solution.anchor_index()
@@ -187,13 +195,17 @@ def solve_dual(
         yp = float(yp_of(x))
         return -(alpha * (yp / y) * (q + v) + alpha * (z + v * x) / (y * y))
 
+    # Python floats, so an overflowing march runs on to the finiteness check
+    # below without NumPy warnings.
+    nodes = grid.tolist()
+
     def march(indices) -> tuple[list, list]:
         zs = [init.z0]
         qs = [init.zp0]
         z, q = init.z0, init.zp0
         for k in range(len(indices) - 1):
-            x_a = grid[indices[k]]
-            x_b = grid[indices[k + 1]]
+            x_a = nodes[indices[k]]
+            x_b = nodes[indices[k + 1]]
             h = x_b - x_a
             xm = x_a + 0.5 * h
             k1z, k1q = q, zpp_at(x_a, z, q)
@@ -211,6 +223,10 @@ def solve_dual(
 
     zv = np.array(zs_l[:0:-1] + zs_r, dtype=float)
     zp = np.array(qs_l[:0:-1] + qs_r, dtype=float)
+    finite = np.isfinite(zv) & np.isfinite(zp)
+    if not np.all(finite):
+        bad = grid[~finite]
+        raise NumericalFailure(f"dual solution is not finite from x = {bad[np.argmin(np.abs(bad - init.x0))]:g}")
     zpp = np.array(
         [zpp_at(float(x), float(z), float(q)) for x, z, q in zip(grid, zv, zp)], dtype=float
     )

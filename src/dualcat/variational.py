@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import quadrature
 from .curves import ClosedForm, Coordinate, GraphCurve
-from .dual import DirectionSpec, DualScalar, dual_norm
+from .dual import DirectionSpec, DualScalar, _dedim, dual_norm
 from .errors import DegenerateVariation, DomainError, InvalidParams
 
 # Bump amplitude used for seeded variations; small enough that quadrature
@@ -29,6 +28,9 @@ FIXER_DENOM_MIN = 1e-10
 CONSTRAINT_NEGLIGIBLE = 1e-12
 
 FD_STEP = 1e-4
+
+# Absolute tolerance of a perturbed curve's rebuilt w over its whole interval.
+W_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -259,8 +261,9 @@ def perturbed_curve(
     """Deform y and z by ``scale*delta`` and rebuild w from admissibility.
 
     The rebuilt w has ``w' = -y'*z'`` for the new coordinates, so the result
-    is admissible by construction; its value is anchored at the left endpoint
-    to the original w, read only when a w value is asked for.
+    is admissible by construction.  Its values come from one cumulative table
+    of that integrand, anchored at the left endpoint to the original w; table
+    and anchor are built only when a w value is first asked for.
     """
     a, _ = curve.domain
     s = float(scale)
@@ -282,14 +285,14 @@ def perturbed_curve(
     def w_d2(x):
         return -(y2.deriv2(x) * z2.deriv(x) + y2.deriv(x) * z2.deriv2(x))
 
-    def w_scalar(xx: float) -> float:
-        val, _ = quad(w_d1, a, xx, epsabs=1e-12, epsrel=1e-12, limit=200)
-        return float(curve.w.value(a)) + val
+    w0, table = None, None
 
     def w_val(x):
-        if np.ndim(x) == 0:
-            return w_scalar(float(x))
-        return np.array([w_scalar(float(xx)) for xx in np.asarray(x, float)])
+        nonlocal w0, table
+        if table is None:
+            w0 = float(curve.w.value(a))
+            table = quadrature.CumulativeIntegral(w_d1, curve._table_edges(), W_TOL)
+        return _dedim(w0 + table(x))
 
     return GraphCurve(curve.domain, y2, Coordinate(w_val, w_d1, w_d2), z2, source=None)
 

@@ -203,6 +203,10 @@ class TestErrors:
             ("generate", "--alpha", "1", "--c", "1e305", "--samples", "3"),
             # height 1e-305 everywhere: dual division by a zero real part
             ("verify", "--alpha", "1", "--c", "1e305", "--domain", "-1e-306:1e-306", "--samples", "3"),
+            ("generate", "--alpha", "0.5", "--solve", "--step", "1e-9"),  # too many steps
+            # z' overflows in the dual solve
+            ("generate", "--alpha", "0.5", "--solve", "--domain=-0.75:0.75", "--zp0", "1.7e308"),
+            ("verify", "--alpha", "0.5", "--solve", "--domain=-0.75:0.75", "--zp0", "1.7e308"),
         ],
     )
     def test_usage_errors_exit_2(self, capsys, argv):

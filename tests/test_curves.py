@@ -1,22 +1,28 @@
 """Graph-curve geometry: admissibility, frame, curvature, arc length."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
+from dualcat import quadrature
 from dualcat import (
     CatenaryParams,
     Coordinate,
     DirectionSpec,
     DualScalar,
     GraphCurve,
+    InitialData,
     InvalidParams,
+    NumericalFailure,
     OutOfDomain,
+    SolverConfig,
     catenary_alpha0,
     catenary_alpha1,
     catenary_alpha_minus1,
     dual_norm,
+    solve_curve,
 )
 
 VERTICAL = DirectionSpec(0.0)
@@ -187,3 +193,101 @@ class TestArcLength:
             cv.x_at_arclength(-0.5)
         with pytest.raises(OutOfDomain):
             cv.x_at_arclength(100.0)
+
+    def test_steep_circle_arc(self):
+        # Slope about 22 at the ends of m +- 0.999R: uniform cells are not enough.
+        R, m = 2.0, 0.2
+        cv = catenary_alpha_minus1(CatenaryParams(alpha=-1.0, R=R, m=m))
+        a, b = cv.domain
+        phi_a = -math.asin(0.999)
+        total = cv.arc_length(a, b)
+        assert abs(total - 2.0 * R * math.asin(0.999)) <= 1e-12
+        for s in np.linspace(0.0, total, 22)[1:-1]:
+            x = cv.x_at_arclength(float(s))
+            assert abs(x - (m + R * math.sin(s / R + phi_a))) <= 1e-10
+        assert cv.x_at_arclength(0.0) == a
+        assert cv.x_at_arclength(total) == b
+
+
+class TestArcLengthTable:
+    def test_nan_slope_raises_at_once(self):
+        def slope(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(x > 0.3, np.nan, x)
+
+        cv = GraphCurve((-1.0, 1.0), Coordinate(np.zeros_like, slope, np.zeros_like),
+                        Coordinate.constant(0.0), Coordinate.constant(0.0))
+        t0 = time.perf_counter()
+        with pytest.raises(NumericalFailure):
+            cv.arc_length(-1.0, 1.0)
+        with pytest.raises(NumericalFailure):
+            cv.x_at_arclength(0.5)
+        assert time.perf_counter() - t0 < 0.1
+
+    def test_unresolvable_speed_stops_at_cell_cap(self):
+        # Oscillations far below any cell width: every cell fails every pass.
+        def slope(x):
+            return 1e3 * np.sin(1e9 * np.asarray(x, dtype=float))
+
+        cv = GraphCurve((-1.0, 1.0), Coordinate(np.zeros_like, slope, np.zeros_like),
+                        Coordinate.constant(0.0), Coordinate.constant(0.0))
+        t0 = time.perf_counter()
+        with pytest.raises(NumericalFailure, match="cells"):
+            cv.arc_length(-1.0, 1.0)
+        assert time.perf_counter() - t0 < 5.0
+
+    def test_slope_jump_stops_at_halving_cap(self):
+        # A kink in y: the cell holding it misses a tolerance proportional to
+        # its width at every depth, while its neighbours settle at once.
+        def slope(x):
+            return np.where(np.asarray(x, dtype=float) < 0.1234567, 0.0, 1.0)
+
+        cv = GraphCurve((-1.0, 1.0), Coordinate(np.zeros_like, slope, np.zeros_like),
+                        Coordinate.constant(0.0), Coordinate.constant(0.0))
+        t0 = time.perf_counter()
+        with pytest.raises(NumericalFailure, match="halvings"):
+            cv.arc_length(-1.0, 1.0)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_table_built_once(self):
+        calls = []
+
+        def slope(x):
+            calls.append(np.size(x))
+            return np.sinh(x)
+
+        cv = GraphCurve((-1.0, 1.0), Coordinate(np.cosh, slope, np.cosh),
+                        Coordinate.constant(0.0), Coordinate.constant(0.0))
+        total = cv.arc_length(-1.0, 1.0)
+        built = len(calls)
+        for s in (0.3, 1.0, 2.0):
+            cv.x_at_arclength(s)
+        # The table is not rebuilt (that takes hundreds of points): each
+        # inversion evaluates six points per Newton step in its own cell.
+        assert len(calls) > built
+        assert sum(calls[built:]) <= 3 * 4 * 6
+        assert total == pytest.approx(2.0 * math.sinh(1.0), abs=1e-12)
+
+    def test_solved_curve_starts_from_knots(self):
+        cv = solve_curve(0.5, InitialData(0.0, 1.0, 0.0), (-0.75, 0.75), config=SolverConfig(step=0.01))
+        assert np.all(np.isin(cv.y.grid, cv._arclength_table.edges))
+
+
+class TestRule:
+    def test_cached_rule_is_read_only(self):
+        t, w = quadrature.gauss_legendre_rule(quadrature.GL_ORDER)
+        assert quadrature.gauss_legendre_rule(quadrature.GL_ORDER)[0] is t
+        for arr in (t, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    @pytest.mark.parametrize("order", [1, 3, 5, 8])
+    def test_nodes_match_fresh_build(self, order):
+        t, w = np.polynomial.legendre.leggauss(order)
+        edges = np.linspace(-0.3, 1.7, 13)
+        half = 0.5 * np.diff(edges)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        want_x = (mid[:, None] + half[:, None] * t[None, :]).ravel()
+        want_w = (half[:, None] * w[None, :]).ravel()
+        got_x, got_w = quadrature.gauss_legendre_nodes(-0.3, 1.7, 12, order)
+        assert np.array_equal(got_x, want_x) and np.array_equal(got_w, want_w)

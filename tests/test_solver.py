@@ -6,12 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from dualcat import solver
+
 from dualcat import (
     DirectionSpec,
     GridMismatch,
     ImmediateSingularity,
     InitialData,
     InvalidParams,
+    NumericalFailure,
     SolverConfig,
     recover_w,
     residual_report,
@@ -77,6 +80,14 @@ class TestRealSolve:
         with pytest.raises(InvalidParams):
             solve_real(1.0, InitialData(5.0, 1.0, 0.0), (-1.0, 1.0))
 
+    def test_step_count_capped_before_marching(self, monkeypatch):
+        def no_march(*args):
+            raise AssertionError("marched")
+
+        monkeypatch.setattr(solver, "_march", no_march)
+        with pytest.raises(InvalidParams, match="steps"):
+            solve_real(1.0, COSH_INIT, (-1.0, 1.0), SolverConfig(step=2.0 / (solver.MAX_STEPS + 1)))
+
 
 class TestDualSolveAndRecovery:
     def test_deformation_pair(self):
@@ -114,6 +125,12 @@ class TestDualSolveAndRecovery:
         z_b = solve_dual(1.0, 0.0, y_b, init_b)
         with pytest.raises(GridMismatch):
             recover_w(y_a, z_b, 0.0)
+
+    def test_overflowing_dual_solution_raises(self):
+        init = InitialData(0.0, 1.0, 0.0, zp0=1.7e308)
+        y_sol = solve_real(0.5, init, (-0.75, 0.75))
+        with pytest.raises(NumericalFailure, match="not finite"):
+            solve_dual(0.5, 0.0, y_sol, init)
 
     def test_anchor_must_sit_on_grid(self):
         y_sol = solve_real(1.0, COSH_INIT, (-1.0, 1.0))

@@ -1,9 +1,11 @@
 """Energy, Euler-Lagrange residuals, constrained variations."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from dualcat import (
     Bump,
@@ -24,6 +26,7 @@ from dualcat import (
     first_integral_residual,
     first_variation,
     infer_c,
+    closed_form,
     make_constrained_variation,
     multiplier_residual,
     perturbed_curve,
@@ -252,6 +255,18 @@ class TestPerturbedCurve:
         h = 1e-6
         got = (pert.w.value(0.3 + h) - pert.w.value(0.3 - h)) / (2 * h)
         assert got == pytest.approx(pert.w.deriv(0.3), abs=1e-8)
+
+    def test_report_w_column_from_one_table(self):
+        base = closed_form(CatenaryParams(alpha=1.0, c=1.3, v=0.8, d1=0.4))
+        t0 = time.perf_counter()
+        pert = perturbed_curve(base, Bump(0.0, 0.6), EMPTY, 0.1)
+        rep = residual_report(pert, 1.0, DirectionSpec(0.8))
+        assert time.perf_counter() - t0 < 0.05
+        a, _ = pert.domain
+        steps = [quad(pert.w.deriv, lo, hi, epsabs=1e-14, epsrel=1e-14)[0]
+                 for lo, hi in zip(rep.grid[:-1], rep.grid[1:])]
+        want = base.w.value(a) + np.concatenate(([0.0], np.cumsum(steps)))
+        assert np.max(np.abs(rep.columns["w"] - want)) <= 1e-10
 
 
 class TestReport:
