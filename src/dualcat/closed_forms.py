@@ -21,6 +21,12 @@ from .errors import DomainError, InvalidParams
 RIM_CLIP = 1e-3
 
 
+def _check_square(name: str, val: float) -> None:
+    """Reject a parameter whose square, used by the formulas, overflows."""
+    if not np.isfinite(val * val):
+        raise InvalidParams(f"{name} = {val:g} is too large: {name}**2 overflows")
+
+
 @dataclass(frozen=True)
 class CatenaryParams:
     """Parameters of the closed-form families.
@@ -50,6 +56,7 @@ def catenary_alpha1(p: CatenaryParams, domain: tuple[float, float] = (-1.0, 1.0)
     """
     if not (p.c > 0.0 and np.isfinite(p.c)):
         raise InvalidParams(f"c must be positive, got {p.c}")
+    _check_square("c", p.c)
     c, m, v, d1, d2, d3 = p.c, p.m, p.v, p.d1, p.d2, p.d3
 
     def theta(x):
@@ -100,6 +107,7 @@ def catenary_alpha0(p: CatenaryParams, domain: tuple[float, float] = (-1.0, 1.0)
     """Line ``y = +-sqrt(c**2 - 1)*x + m`` with slope sign picked by branch."""
     if not (p.c >= 1.0 and np.isfinite(p.c)):
         raise InvalidParams(f"c must be at least 1 for a real slope, got {p.c}")
+    _check_square("c", p.c)
     if p.branch not in ("plus", "minus"):
         raise InvalidParams(f"branch must be 'plus' or 'minus', got {p.branch!r}")
     sign = 1.0 if p.branch == "plus" else -1.0
@@ -122,6 +130,7 @@ def catenary_alpha_minus1(
     """
     if not (p.R > 0.0 and np.isfinite(p.R)):
         raise InvalidParams(f"R must be positive, got {p.R}")
+    _check_square("R", p.R)
     R, m, v, d1, d2, d3 = p.R, p.m, p.v, p.d1, p.d2, p.d3
     if domain is None:
         delta = RIM_CLIP * R

@@ -14,11 +14,11 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from . import quadrature
 from .dual import DirectionSpec, DualScalar, DualVec2, _dedim, dual_dot
 from .errors import InvalidParams, NumericalFailure, OutOfDomain
+from .spline import HermiteSpline
 
 if TYPE_CHECKING:
     from .closed_forms import CatenaryParams
@@ -89,14 +89,8 @@ class SampledCoordinate(Coordinate):
 
     def __init__(self, grid: np.ndarray, vals: np.ndarray, d1: np.ndarray, d2: np.ndarray):
         grid = np.asarray(grid, dtype=float)
-        s_val = CubicHermiteSpline(grid, np.asarray(vals, float), np.asarray(d1, float))
-        s_d1 = CubicHermiteSpline(grid, np.asarray(d1, float), np.asarray(d2, float))
-        s_d2 = s_d1.derivative()
-        super().__init__(
-            lambda x: _dedim(s_val(x)),
-            lambda x: _dedim(s_d1(x)),
-            lambda x: _dedim(s_d2(x)),
-        )
+        s_d1 = HermiteSpline(grid, d1, d2)
+        super().__init__(HermiteSpline(grid, vals, d1), s_d1, s_d1.derivative())
         self.grid = grid
 
 

@@ -72,7 +72,8 @@ class DualScalar:
         other = _coerce(other)
         sq = other.re * other.re
         if _vanishes(sq):
-            raise ZeroRealPart(f"division by {other}: real part is zero")
+            smallest = float(np.min(np.abs(other.re)))
+            raise ZeroRealPart(f"division by a dual number whose real part is zero (|re| = {smallest:.3g})")
         return DualScalar(self.re / other.re, (self.du * other.re - self.re * other.du) / sq)
 
     def __rtruediv__(self, other: "DualScalar | float") -> "DualScalar":

@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .curves import GraphCurve, Numeric, SampledCoordinate
 from .errors import GridMismatch, ImmediateSingularity, InvalidParams, NumericalFailure
 from .quadrature import cell_integrals
+from .spline import HermiteSpline
 
 # A direction that truncates in fewer steps than this aborts the solve.
 MIN_STEPS = 10
@@ -178,48 +178,51 @@ def solve_dual(
 ) -> SampledReal:
     """Integrate the linearized equation for z along a stored real solution.
 
-    The real solution is interpolated with cubic Hermite splines for the RK4
-    half-step values; at the nodes the splines reproduce the stored samples.
-    A z or z' that overflows raises NumericalFailure.
+    y and y' at the RK4 nodes and half-steps come from cubic Hermite splines
+    of the real solution, evaluated once on the grid and once on each
+    direction's half-steps; at the nodes the splines reproduce the stored
+    samples.  A z or z' that overflows raises NumericalFailure.
     """
     grid = y_solution.grid
     _validate(config, grid[-1] - grid[0])
-    y_of = CubicHermiteSpline(grid, y_solution.val, y_solution.d1)
-    yp_of = CubicHermiteSpline(grid, y_solution.d1, y_solution.d2)
+    y_of = HermiteSpline(grid, y_solution.val, y_solution.d1)
+    yp_of = HermiteSpline(grid, y_solution.d1, y_solution.d2)
     i0 = y_solution.anchor_index()
     if abs(grid[i0] - init.x0) > 1e-9 * (1.0 + abs(init.x0)):
         raise InvalidParams(f"x0 = {init.x0} is not the anchor of the real solution")
 
-    def zpp_at(x: float, z: float, q: float) -> float:
-        y = float(y_of(x))
-        yp = float(yp_of(x))
+    def zpp_at(x: float, y: float, yp: float, z: float, q: float) -> float:
         return -(alpha * (yp / y) * (q + v) + alpha * (z + v * x) / (y * y))
 
     # Python floats, so an overflowing march runs on to the finiteness check
     # below without NumPy warnings.
     nodes = grid.tolist()
+    y_nodes = y_of(grid).tolist()
+    yp_nodes = yp_of(grid).tolist()
 
-    def march(indices) -> tuple[list, list]:
+    def march(indices: np.ndarray) -> tuple[list, list]:
+        lo, hi = grid[indices[:-1]], grid[indices[1:]]
+        mid = lo + 0.5 * (hi - lo)
+        x_mid, y_mid, yp_mid = mid.tolist(), y_of(mid).tolist(), yp_of(mid).tolist()
         zs = [init.z0]
         qs = [init.zp0]
         z, q = init.z0, init.zp0
-        for k in range(len(indices) - 1):
-            x_a = nodes[indices[k]]
-            x_b = nodes[indices[k + 1]]
+        for k, (a, b) in enumerate(zip(indices[:-1].tolist(), indices[1:].tolist())):
+            x_a, x_b = nodes[a], nodes[b]
             h = x_b - x_a
-            xm = x_a + 0.5 * h
-            k1z, k1q = q, zpp_at(x_a, z, q)
-            k2z, k2q = q + 0.5 * h * k1q, zpp_at(xm, z + 0.5 * h * k1z, q + 0.5 * h * k1q)
-            k3z, k3q = q + 0.5 * h * k2q, zpp_at(xm, z + 0.5 * h * k2z, q + 0.5 * h * k2q)
-            k4z, k4q = q + h * k3q, zpp_at(x_b, z + h * k3z, q + h * k3q)
+            xm, ym, ypm = x_mid[k], y_mid[k], yp_mid[k]
+            k1z, k1q = q, zpp_at(x_a, y_nodes[a], yp_nodes[a], z, q)
+            k2z, k2q = q + 0.5 * h * k1q, zpp_at(xm, ym, ypm, z + 0.5 * h * k1z, q + 0.5 * h * k1q)
+            k3z, k3q = q + 0.5 * h * k2q, zpp_at(xm, ym, ypm, z + 0.5 * h * k2z, q + 0.5 * h * k2q)
+            k4z, k4q = q + h * k3q, zpp_at(x_b, y_nodes[b], yp_nodes[b], z + h * k3z, q + h * k3q)
             z = z + (h / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
             q = q + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
             zs.append(z)
             qs.append(q)
         return zs, qs
 
-    zs_r, qs_r = march(range(i0, len(grid)))
-    zs_l, qs_l = march(range(i0, -1, -1))
+    zs_r, qs_r = march(np.arange(i0, len(grid)))
+    zs_l, qs_l = march(np.arange(i0, -1, -1))
 
     zv = np.array(zs_l[:0:-1] + zs_r, dtype=float)
     zp = np.array(qs_l[:0:-1] + qs_r, dtype=float)
@@ -227,9 +230,7 @@ def solve_dual(
     if not np.all(finite):
         bad = grid[~finite]
         raise NumericalFailure(f"dual solution is not finite from x = {bad[np.argmin(np.abs(bad - init.x0))]:g}")
-    zpp = np.array(
-        [zpp_at(float(x), float(z), float(q)) for x, z, q in zip(grid, zv, zp)], dtype=float
-    )
+    zpp = np.array(list(map(zpp_at, nodes, y_nodes, yp_nodes, zv.tolist(), zp.tolist())), dtype=float)
     return SampledReal(
         grid, zv, zp, zpp, y_solution.anchor, y_solution.truncated_left, y_solution.truncated_right
     )
@@ -244,8 +245,8 @@ def recover_w(y_solution: SampledReal, z_solution: SampledReal, w0: float) -> Sa
     grid = y_solution.grid
     if not np.array_equal(grid, z_solution.grid):
         raise GridMismatch("real and dual solutions live on different grids")
-    yp_of = CubicHermiteSpline(grid, y_solution.d1, y_solution.d2)
-    zp_of = CubicHermiteSpline(grid, z_solution.d1, z_solution.d2)
+    yp_of = HermiteSpline(grid, y_solution.d1, y_solution.d2)
+    zp_of = HermiteSpline(grid, z_solution.d1, z_solution.d2)
 
     cells = cell_integrals(lambda x: -(yp_of(x) * zp_of(x)), grid)
     cum = np.concatenate(([0.0], np.cumsum(cells)))

@@ -201,7 +201,7 @@ class TestErrors:
             ("verify", "--alpha", "nan", "--solve"),
             ("verify", "--alpha", "1", "--c", "1e305", "--samples", "3"),  # height overflows
             ("generate", "--alpha", "1", "--c", "1e305", "--samples", "3"),
-            # height 1e-305 everywhere: dual division by a zero real part
+            # c**2 overflows (the height would be 1e-305 everywhere)
             ("verify", "--alpha", "1", "--c", "1e305", "--domain", "-1e-306:1e-306", "--samples", "3"),
             ("generate", "--alpha", "0.5", "--solve", "--step", "1e-9"),  # too many steps
             # z' overflows in the dual solve
@@ -232,3 +232,57 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("verify", "--alpha", "1", "--c", "1e305", "--domain=-1e-306:1e-306", "--samples", "3"), "c"),
+        (("generate", "--alpha", "0", "--c", "1e200", "--samples", "3"), "c"),
+        (("energy", "--alpha", "-1", "--R", "1e200"), "R"),
+    ],
+)
+def test_overflowing_parameter_gives_one_error_line(argv, name):
+    # A subprocess, so NumPy warnings would reach stderr as they do for users.
+    proc = subprocess.run(
+        [sys.executable, "-m", "dualcat", *argv], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert f"{name} = " in lines[0] and "overflows" in lines[0]
+
+
+NO_SCIPY = """
+import contextlib, io, sys
+sys.modules["scipy"] = None
+import dualcat
+from dualcat.cli import main
+
+solve = ["--alpha", "0.5", "--solve", "--domain=-0.5:0.5", "--samples", "5"]
+runs = [
+    ["verify", "--alpha", "1"],
+    ["generate", "--alpha", "1", "--samples", "5"],
+    ["energy", "--alpha", "-1"],
+    ["variation", "--alpha", "1", "--count", "1"],
+    ["verify", *solve],
+    ["generate", *solve],
+    ["energy", *solve],
+    ["variation", *solve, "--count", "1"],
+]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+curve = dualcat.solve_curve(0.5, dualcat.InitialData(0.0, 1.0, 0.1, z0=0.2), (-0.5, 0.5))
+x = curve.x_at_arclength(0.5 * curve.arc_length(*curve.domain))
+assert curve.domain[0] < x < curve.domain[1]
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_runs_without_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['scipy']"  # only the blocked placeholder

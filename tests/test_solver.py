@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicHermiteSpline
 
 from dualcat import solver
 
@@ -16,6 +17,7 @@ from dualcat import (
     InvalidParams,
     NumericalFailure,
     SolverConfig,
+    assemble,
     recover_w,
     residual_report,
     solve_curve,
@@ -24,6 +26,42 @@ from dualcat import (
 )
 
 COSH_INIT = InitialData(x0=0.0, y0=1.0, yp0=0.0)
+
+
+def reference_solve_dual(alpha, v, y_sol, init):
+    """The dual march with one scalar scipy spline call per RK4 stage."""
+    grid = y_sol.grid
+    y_of = CubicHermiteSpline(grid, y_sol.val, y_sol.d1)
+    yp_of = CubicHermiteSpline(grid, y_sol.d1, y_sol.d2)
+
+    def zpp_at(x, z, q):
+        y, yp = float(y_of(x)), float(yp_of(x))
+        return -(alpha * (yp / y) * (q + v) + alpha * (z + v * x) / (y * y))
+
+    def march(indices):
+        z, q = init.z0, init.zp0
+        zs, qs = [z], [q]
+        for a, b in zip(indices[:-1], indices[1:]):
+            x_a, x_b = float(grid[a]), float(grid[b])
+            h = x_b - x_a
+            xm = x_a + 0.5 * h
+            k1z, k1q = q, zpp_at(x_a, z, q)
+            k2z, k2q = q + 0.5 * h * k1q, zpp_at(xm, z + 0.5 * h * k1z, q + 0.5 * h * k1q)
+            k3z, k3q = q + 0.5 * h * k2q, zpp_at(xm, z + 0.5 * h * k2z, q + 0.5 * h * k2q)
+            k4z, k4q = q + h * k3q, zpp_at(x_b, z + h * k3z, q + h * k3q)
+            z = z + (h / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+            q = q + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+            zs.append(z)
+            qs.append(q)
+        return zs, qs
+
+    i0 = y_sol.anchor_index()
+    zs_r, qs_r = march(list(range(i0, len(grid))))
+    zs_l, qs_l = march(list(range(i0, -1, -1)))
+    zv = np.array(zs_l[:0:-1] + zs_r)
+    zp = np.array(qs_l[:0:-1] + qs_r)
+    zpp = np.array([zpp_at(float(x), float(z), float(q)) for x, z, q in zip(grid, zv, zp)])
+    return dataclasses.replace(y_sol, val=zv, d1=zp, d2=zpp)
 
 
 class TestRealSolve:
@@ -131,6 +169,34 @@ class TestDualSolveAndRecovery:
         y_sol = solve_real(0.5, init, (-0.75, 0.75))
         with pytest.raises(NumericalFailure, match="not finite"):
             solve_dual(0.5, 0.0, y_sol, init)
+
+    @pytest.mark.parametrize(
+        "alpha, v, init",
+        [
+            (0.5, 0.3, InitialData(0.0, 1.0, 0.1, z0=0.2, zp0=-0.1, w0=0.1)),
+            (-0.5, -0.2, InitialData(0.1, 1.2, -0.1, z0=0.0, zp0=0.3, w0=-0.2)),
+            (1.5, 0.4, InitialData(-0.2, 0.9, 0.05, z0=-0.2, zp0=0.2)),
+        ],
+    )
+    def test_bit_identical_to_scalar_spline_march(self, alpha, v, init):
+        domain = (-0.75, 0.75)
+        y_sol = solve_real(alpha, init, domain)
+        ref = reference_solve_dual(alpha, v, y_sol, init)
+        got = solve_dual(alpha, v, y_sol, init)
+        for name in ("val", "d1", "d2"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
+
+        curve = solve_curve(alpha, init, domain, v=v)
+        ref_curve = assemble(y_sol, ref, recover_w(y_sol, ref, init.w0))
+        xs = np.concatenate([y_sol.grid, np.random.default_rng(3).uniform(*curve.domain, 1001)])
+        for name in ("y", "z", "w"):
+            c, r = getattr(curve, name), getattr(ref_curve, name)
+            for fn in ("value", "deriv", "deriv2"):
+                assert np.array_equal(getattr(c, fn)(xs), getattr(r, fn)(xs))
+        total = curve.arc_length(*curve.domain)
+        assert total == ref_curve.arc_length(*ref_curve.domain)
+        for s in np.linspace(0.0, total, 9):
+            assert curve.x_at_arclength(s) == ref_curve.x_at_arclength(s)
 
     def test_anchor_must_sit_on_grid(self):
         y_sol = solve_real(1.0, COSH_INIT, (-1.0, 1.0))
