@@ -100,7 +100,17 @@ def catenary_alpha1(p: CatenaryParams, domain: tuple[float, float] = (-1.0, 1.0)
         return v * c * np.cosh(t) + (c * c) * (2.0 * d1 * th * sech * sech - d2 * sech * (sech * sech - th * th))
 
     tag = ClosedForm(dataclasses.replace(p, alpha=1.0))
-    return GraphCurve(domain, y, Coordinate(w_val, w_d1, w_d2), Coordinate(z_val, z_d1, z_d2), tag)
+    curve = GraphCurve(domain, y, Coordinate(w_val, w_d1, w_d2), Coordinate(z_val, z_d1, z_d2), tag)
+    # cosh peaks at an end of the (validated) domain; y and y'' scale it by
+    # 1/c and c.  Rejected here, before any formula overflows.
+    with np.errstate(over="ignore"):
+        peak = np.cosh(np.max(np.abs(theta(curve.domain)))) * max(c, 1.0 / c)
+    if not np.isfinite(peak):
+        a, b = curve.domain
+        raise InvalidParams(
+            f"c = {c:g}, m = {m:g}: y = cosh(c*x + m)/c or y'' = c*cosh(c*x + m) overflows on [{a:g}, {b:g}]"
+        )
+    return curve
 
 
 def catenary_alpha0(p: CatenaryParams, domain: tuple[float, float] = (-1.0, 1.0)) -> GraphCurve:

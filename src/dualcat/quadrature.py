@@ -74,10 +74,11 @@ def partitioned_nodes(
     piece gets panels proportional to its width, at least one.
     """
     span = b - a
-    pts = np.asarray([p for p in breakpoints if a < p < b], dtype=float)
-    edges = np.unique(np.concatenate(([a, b], pts)))
-    keep = np.concatenate(([True], np.diff(edges) > 1e-12 * max(1.0, span)))
-    edges = edges[keep]
+    tol = 1e-12 * max(1.0, span)
+    # Breakpoints closer than tol to an end or to the previous edge are
+    # dropped; a and b always stay, however short the interval.
+    pts = np.unique(np.asarray([p for p in breakpoints if a + tol < p < b - tol], dtype=float))
+    edges = np.concatenate(([a], pts[np.diff(pts, prepend=a) > tol], [b]))
     nodes = []
     weights = []
     for lo, hi in zip(edges[:-1], edges[1:]):

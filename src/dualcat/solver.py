@@ -10,6 +10,7 @@ the admissibility constraint by per-cell quadrature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,7 +103,7 @@ def _march(alpha: float, x0: float, y0: float, p0: float, h: float, nsteps: int,
     """March one direction; h carries the sign.  Returns samples and a flag."""
 
     def rhs(y: float, p: float) -> tuple[float, float]:
-        if not (np.isfinite(y) and np.isfinite(p)):
+        if not (math.isfinite(y) and math.isfinite(p)):
             raise _GuardHit
         if y <= cfg.y_min or abs(p) >= cfg.slope_max:
             raise _GuardHit

@@ -10,6 +10,7 @@ every fixed-endpoint variation that respects admissibility to first order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from . import quadrature
 from .curves import ClosedForm, Coordinate, GraphCurve
 from .dual import DirectionSpec, DualScalar, _dedim, dual_norm
-from .errors import DegenerateVariation, DomainError, InvalidParams
+from .errors import DegenerateVariation, DomainError, InvalidParams, NumericalFailure
 
 # Bump amplitude used for seeded variations; small enough that quadrature
 # error on the bump tails stays far below the stationarity tolerances.
@@ -115,10 +116,22 @@ def first_integral_residual(curve: GraphCurve, alpha: float, c: float, x):
 
 
 def infer_c(curve: GraphCurve, alpha: float, x0: float) -> float:
-    """Constant ``sqrt((1 + y'**2) / y**(2*alpha))`` read off at one point."""
+    """Constant ``sqrt((1 + y'**2) / y**(2*alpha))`` read off at one point.
+
+    Raises NumericalFailure when it is not positive and finite, as when
+    ``y**(2*alpha)`` leaves the float range.
+    """
     y = float(_heights(curve, x0))
     yp = float(curve.y.deriv(x0))
-    return float(np.sqrt((1.0 + yp * yp) / y ** (2.0 * alpha)))
+    try:
+        c = float(np.sqrt((1.0 + yp * yp) / y ** (2.0 * alpha)))
+    except (OverflowError, ZeroDivisionError):
+        c = math.nan
+    if not (c > 0.0 and math.isfinite(c)):
+        raise NumericalFailure(
+            f"first-integral constant at x = {x0:g} is not positive and finite (y = {y:g}, y' = {yp:g})"
+        )
+    return c
 
 
 def multiplier_residual(curve: GraphCurve, alpha: float, c: float, x):

@@ -10,7 +10,9 @@ import sys
 import numpy as np
 import pytest
 
-from dualcat.cli import CSV_COLUMNS, main
+import dualcat
+from dualcat import cli
+from dualcat.cli import CSV_COLUMNS, CSV_ROW, main
 
 
 def run_cli(capsys, *argv):
@@ -207,6 +209,8 @@ class TestErrors:
             # z' overflows in the dual solve
             ("generate", "--alpha", "0.5", "--solve", "--domain=-0.75:0.75", "--zp0", "1.7e308"),
             ("verify", "--alpha", "0.5", "--solve", "--domain=-0.75:0.75", "--zp0", "1.7e308"),
+            # the inferred first-integral constant leaves the float range
+            ("verify", "--alpha", "-1", "--curve-alpha", "0", "--m", "1e-200", "--samples", "3"),
         ],
     )
     def test_usage_errors_exit_2(self, capsys, argv):
@@ -240,6 +244,9 @@ def test_module_entry_point():
         (("verify", "--alpha", "1", "--c", "1e305", "--domain=-1e-306:1e-306", "--samples", "3"), "c"),
         (("generate", "--alpha", "0", "--c", "1e200", "--samples", "3"), "c"),
         (("energy", "--alpha", "-1", "--R", "1e200"), "R"),
+        # cosh(c*x + m) overflows at the domain ends, before any formula runs
+        (("verify", "--alpha", "1", "--c", "1000", "--samples", "3"), "c"),
+        (("variation", "--alpha", "1", "--c", "1000", "--count", "1"), "c"),
     ],
 )
 def test_overflowing_parameter_gives_one_error_line(argv, name):
@@ -251,6 +258,112 @@ def test_overflowing_parameter_gives_one_error_line(argv, name):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert f"{name} = " in lines[0] and "overflows" in lines[0]
+
+
+def test_nan_probe_writes_nothing_to_stderr():
+    # The NaN reaches the gate as a value; NumPy's overflow warnings stay quiet.
+    proc = subprocess.run(
+        [sys.executable, "-m", "dualcat", "verify", "--alpha", "1", "--c", "1e-300", "--samples", "3"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "first_integral         nan\n" in proc.stdout
+    assert proc.stdout.endswith("result                 FAIL\n")
+    assert proc.stderr == ""
+
+
+# Pairs of calls where the first sets a flag, or fails, and the second does not.
+REUSE_SEQUENCE = [
+    ("verify", "--alpha", "1", "--curve-alpha", "0", "--c", "1.5", "--m", "4", "--samples", "5"),
+    ("verify", "--alpha", "1", "--c", "1.5", "--m", "4", "--samples", "5"),
+    ("variation", "--alpha", "1", "--count", "2", "--perturb", "0.1"),
+    ("variation", "--alpha", "1", "--count", "2"),
+    ("generate", "--alpha", "-1", "--R", "2", "--v", "0.5", "--samples", "4", "--format", "csv"),
+    ("generate", "--alpha", "-1", "--R", "2", "--v", "0.5", "--samples", "4", "--format", "json"),
+    ("generate", "--alpha", "0", "--branch", "sideways"),
+    ("generate",),
+    ("verify", "--alpha", "1", "--samples", "5"),
+]
+
+
+def test_reused_parser_matches_fresh_processes(capsys, monkeypatch):
+    builds = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    try:
+        in_process = []
+        for argv in REUSE_SEQUENCE:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            in_process.append((code, capsys.readouterr().out))
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+    assert [code for code, _ in in_process] == [1, 0, 1, 0, 0, 0, 2, 2, 0]
+    fresh = [
+        subprocess.Popen(
+            [sys.executable, "-m", "dualcat", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        )
+        for argv in REUSE_SEQUENCE
+    ]
+    outs = [proc.communicate(timeout=120)[0] for proc in fresh]
+    for argv, got, proc, out in zip(REUSE_SEQUENCE, in_process, fresh, outs):
+        assert got == (proc.returncode, out), argv
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+         -5e-324, -1.7976931348623157e308, 2.2250738585072014e-308, 0.1),
+        (1.0, -1.0, 1e16, 1e17, 123456789012345678.0, 1e-5, 1e-4, 0.5, 2.0 / 3.0, -1e300, 1e-300),
+    ],
+)
+def test_csv_row_format_matches_format_17g(row):
+    assert CSV_ROW % row == ",".join(format(v, ".17g") for v in row)
+
+
+def test_csv_row_format_on_random_bit_patterns():
+    bits = np.random.default_rng(6).integers(0, 2**64, size=(2000, len(CSV_COLUMNS)), dtype=np.uint64)
+    for row in bits.view(np.float64).tolist():
+        assert CSV_ROW % tuple(row) == ",".join(format(v, ".17g") for v in row)
+
+
+def _reference_csv(curve, alpha, v, samples):
+    """The CSV table written value by value with format(v, ".17g")."""
+    a, b = curve.domain
+    report = dualcat.residual_report(curve, alpha, dualcat.DirectionSpec(v), grid=np.linspace(a, b, samples))
+    lines = [",".join(CSV_COLUMNS)]
+    for i in range(len(report.grid)):
+        lines.append(",".join(format(float(report.columns[name][i]), ".17g") for name in CSV_COLUMNS))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_matches_value_by_value_reference(capsys):
+    readme = dualcat.closed_form(dualcat.CatenaryParams(alpha=-1.0, R=2.0, v=0.5))
+    init = dualcat.InitialData(0.0, 1.0, 0.0, 0.2, 0.1)
+    solved = dualcat.solve_curve(0.5, init, (-0.75, 0.75), v=0.3)
+    cases = [
+        (("--alpha", "-1", "--R", "2", "--v", "0.5", "--samples", "3"), readme, -1.0, 0.5, 3),
+        (("--alpha", "-1", "--R", "2", "--v", "0.5"), readme, -1.0, 0.5, 201),
+        (
+            ("--alpha", "0.5", "--solve", "--domain=-0.75:0.75", "--z0", "0.2", "--zp0", "0.1", "--v", "0.3"),
+            solved, 0.5, 0.3, 201,
+        ),
+    ]
+    for argv, curve, alpha, v, samples in cases:
+        code, out, _ = run_cli(capsys, "generate", "--format", "csv", *argv)
+        assert code == 0
+        assert out == _reference_csv(curve, alpha, v, samples), argv
 
 
 NO_SCIPY = """

@@ -61,6 +61,20 @@ class TestAlpha1:
         with pytest.raises(InvalidParams):
             catenary_alpha1(CatenaryParams(alpha=1.0, c=-2.0))
 
+    @pytest.mark.parametrize(
+        "c, m, domain",
+        [
+            (1000.0, 0.0, (-1.0, 1.0)),  # cosh(1000) overflows
+            (1.0, 0.0, (0.0, 800.0)),  # overflow at one end of a long domain
+            (1.0, -720.0, (-1.0, 1.0)),  # the shift alone
+            (1e-310, 0.0, (-1.0, 1.0)),  # y = cosh/c overflows
+            (1e154, 0.0, (0.0, 3.6e-152)),  # y'' = c*cosh(360) overflows, y and c**2 do not
+        ],
+    )
+    def test_overflowing_formula_rejected(self, c, m, domain):
+        with pytest.raises(InvalidParams, match="overflows"):
+            catenary_alpha1(CatenaryParams(alpha=1.0, c=c, m=m), domain)
+
     def test_even_symmetry_is_exact(self):
         cv = catenary_alpha1(CatenaryParams(alpha=1.0, c=1.3, d2=0.7))
         for x in (0.2, 0.5, 0.9):

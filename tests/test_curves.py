@@ -291,3 +291,23 @@ class TestRule:
         want_w = (half[:, None] * w[None, :]).ravel()
         got_x, got_w = quadrature.gauss_legendre_nodes(-0.3, 1.7, 12, order)
         assert np.array_equal(got_x, want_x) and np.array_equal(got_w, want_w)
+
+    @pytest.mark.parametrize(
+        "a, b, breaks",
+        [
+            (0.0, 1.9e-98, ()),  # shorter than the merge tolerance
+            (0.0, 1e-13, (5e-14,)),
+            (-1.0, 1.0, (0.5, 1.0 - 1e-13)),  # a breakpoint next to b
+            (-1.0, 1.0, (-1.0 + 1e-13, 0.5, 0.5 + 1e-13)),
+        ],
+    )
+    def test_partition_always_spans_the_interval(self, a, b, breaks):
+        x, w = quadrature.partitioned_nodes(a, b, breaks, 8)
+        assert a < x.min() and x.max() < b
+        assert w.sum() == pytest.approx(b - a, rel=1e-14, abs=0.0)
+
+    def test_partition_keeps_separated_breakpoints(self):
+        x, w = quadrature.partitioned_nodes(-1.0, 1.0, (0.25, -0.5, 2.0), 8)
+        pieces = [quadrature.gauss_legendre_nodes(lo, hi, n) for lo, hi, n in ((-1.0, -0.5, 2), (-0.5, 0.25, 3), (0.25, 1.0, 3))]
+        assert np.array_equal(x, np.concatenate([p[0] for p in pieces]))
+        assert np.array_equal(w, np.concatenate([p[1] for p in pieces]))

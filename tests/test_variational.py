@@ -17,6 +17,7 @@ from dualcat import (
     DomainError,
     GraphCurve,
     InvalidParams,
+    NumericalFailure,
     catenary_alpha0,
     catenary_alpha1,
     catenary_alpha_minus1,
@@ -143,6 +144,12 @@ class TestResiduals:
         assert infer_c(doubled, 1.0, 0.0) == pytest.approx(2.0, rel=1e-15)
         with pytest.raises(InvalidParams):
             first_integral_residual(cv, 1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("height", [1e-200, 1e200])  # y**-2 overflows, then underflows
+    def test_infer_c_rejects_a_constant_out_of_range(self, height):
+        line = catenary_alpha0(CatenaryParams(alpha=0.0, m=height))
+        with pytest.raises(NumericalFailure):
+            infer_c(line, -1.0, 0.0)
 
     def test_multiplier_identity(self):
         cv = catenary_alpha1(CatenaryParams(alpha=1.0, c=2.0))
