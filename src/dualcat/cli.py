@@ -22,8 +22,8 @@ import numpy as np
 from .closed_forms import CatenaryParams, closed_form
 from .curves import GraphCurve
 from .dual import DirectionSpec
-from .errors import DegenerateVariation, DualcatError, ImmediateSingularity
-from .solver import InitialData, SolverConfig, recover_w, solve_dual, solve_real, assemble
+from .errors import DegenerateVariation, DualcatError, ImmediateSingularity, NumericalFailure
+from .solver import InitialData, SolverConfig, solve_curve
 from .variational import (
     Bump,
     BumpSum,
@@ -93,17 +93,28 @@ def _exit_code(curve: GraphCurve, truncated: bool, code: int) -> int:
     return code
 
 
-def _merge_domain(argv: list[str]) -> list[str]:
-    """Join '--domain lo:hi' into one token so a negative lo is not read as a flag."""
-    out = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--domain" and i + 1 < len(argv):
-            out.append(f"--domain={argv[i + 1]}")
-            i += 2
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Join '--flag -1e-05' into '--flag=-1e-05' so argparse does not read the value as a flag.
+
+    A token joins the '--flag' before it when it starts with '-' and parses as
+    a float or, after --domain, as floats separated by ':'.
+    """
+    out: list[str] = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        if (token.startswith("-") and flag.startswith("--") and "=" not in flag
+                and all(map(_is_float, token.split(":") if flag == "--domain" else [token]))):
+            out[-1] = f"{flag}={token}"
         else:
-            out.append(argv[i])
-            i += 1
+            out.append(token)
     return out
 
 
@@ -174,11 +185,8 @@ def _build_curve(args, family_alpha: float) -> tuple[GraphCurve, bool]:
         lo, hi = domain if domain is not None else (-1.0, 1.0)
         x0 = 0.0 if lo <= 0.0 <= hi else 0.5 * (lo + hi)
         init = InitialData(x0, args.y0, args.yp0, args.z0, args.zp0, args.w0)
-        cfg = SolverConfig(step=args.step)
-        y_sol = solve_real(family_alpha, init, (lo, hi), cfg)
-        z_sol = solve_dual(family_alpha, args.v, y_sol, init, cfg)
-        w_sol = recover_w(y_sol, z_sol, init.w0)
-        return assemble(y_sol, z_sol, w_sol), y_sol.truncated
+        curve = solve_curve(family_alpha, init, (lo, hi), args.v, SolverConfig(step=args.step))
+        return curve, curve.source.truncated
 
     if family_alpha not in (-1.0, 0.0, 1.0):
         raise UsageError(
@@ -255,7 +263,11 @@ def cmd_verify(args) -> int:
 
 def cmd_energy(args) -> int:
     curve, truncated = _build_curve(args, args.alpha)
-    ev = energy(curve, DirectionSpec(args.v), args.alpha, panels=args.panels)
+    # Overflow leaves inf or NaN in the energy, which the check below rejects.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ev = energy(curve, DirectionSpec(args.v), args.alpha, panels=args.panels)
+    if not all(map(math.isfinite, (ev.e0, ev.e1, ev.total.re, ev.total.du))):
+        raise NumericalFailure(f"energy overflows: e0 = {ev.e0:g}, e1 = {ev.e1:g}")
     print(f"e0 = {_g17(ev.e0)}")
     print(f"e1 = {_g17(ev.e1)}")
     print(f"total = {_g17(ev.total.re)} + {_g17(ev.total.du)} eps")
@@ -302,7 +314,7 @@ def cmd_variation(args) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = _parser().parse_args(_merge_domain(argv))
+    args = _parser().parse_args(_join_negative_values(argv))
     try:
         _validate(args)
         return args.func(args)

@@ -103,9 +103,10 @@ class ClosedForm:
 
 @dataclass(frozen=True, eq=False)
 class Numeric:
-    """Source tag for curves assembled from an ODE solve."""
+    """Source tag for curves assembled from an ODE solve; ``truncated`` if a guard cut it short."""
 
     grid: np.ndarray
+    truncated: bool = False
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,17 @@
-"""Fixed-step integration of the catenary equation for a general exponent.
+"""Fixed-step integration of the dual catenary system for a general exponent.
 
-The real part solves ``y'' = alpha*(1 + y'**2)/y`` with classical RK4 from the
-initial point out to both requested endpoints.  Stage guards stop the march
-before the iterate leaves the upper half plane or the slope blows up, so the
-achieved domain may be shorter than requested.  The eps part then solves the
-linearized equation along the stored real solution, and w is recovered from
-the admissibility constraint by per-cell quadrature.
+The state ``(y, y', z, z')`` solves ``y'' = alpha*(1 + y'**2)/y`` and its eps
+part, ``z'' = -alpha*((y'/y)*(z' + v) + (z + v*x)/y**2)``, with one classical
+RK4 march from the initial point out to both requested endpoints.  Stage
+guards on y and y' stop it before the iterate leaves the upper half plane or
+the slope blows up, so the achieved domain may be shorter than requested.  w
+is then recovered from the admissibility constraint by per-cell quadrature.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,13 +27,14 @@ MIN_STEPS = 10
 # proportion to the step count.
 MAX_STEPS = 10**6
 
+# Stage guards: a march stops before y falls to Y_MIN or |y'| reaches SLOPE_MAX.
+Y_MIN = 1e-6
+SLOPE_MAX = 1e8
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     step: float = 1e-3
-    y_min: float = 1e-6
-    slope_max: float = 1e8
-    method: str = "RK4"
 
 
 @dataclass(frozen=True)
@@ -79,18 +80,6 @@ class _GuardHit(Exception):
     pass
 
 
-def _validate(cfg: SolverConfig, span: float) -> None:
-    """Check the configuration for a solve across an interval of length span."""
-    if not (cfg.step > 0.0 and np.isfinite(cfg.step)):
-        raise InvalidParams(f"step must be positive, got {cfg.step}")
-    if not span / cfg.step <= MAX_STEPS:
-        raise InvalidParams(f"step {cfg.step:g} needs more than {MAX_STEPS} steps across length {span:g}")
-    if not (cfg.y_min > 0.0 and cfg.slope_max > 0.0):
-        raise InvalidParams("y_min and slope_max must be positive")
-    if cfg.method != "RK4":
-        raise InvalidParams(f"unknown method {cfg.method!r}")
-
-
 def _steps(length: float, h: float) -> int:
     n = length / h
     r = round(n)
@@ -99,36 +88,88 @@ def _steps(length: float, h: float) -> int:
     return int(np.floor(n))
 
 
-def _march(alpha: float, x0: float, y0: float, p0: float, h: float, nsteps: int, cfg: SolverConfig):
-    """March one direction; h carries the sign.  Returns samples and a flag."""
+def _rates(alpha: float, v: float, x, y, p, z, q) -> tuple:
+    """Right-hand side of the system for (y, y', z, z'), on floats or arrays."""
+    return p, alpha * (1.0 + p * p) / y, q, -(alpha * (p / y) * (q + v) + alpha * (z + v * x) / (y * y))
 
-    def rhs(y: float, p: float) -> tuple[float, float]:
-        if not (math.isfinite(y) and math.isfinite(p)):
-            raise _GuardHit
-        if y <= cfg.y_min or abs(p) >= cfg.slope_max:
-            raise _GuardHit
-        return p, alpha * (1.0 + p * p) / y
 
-    ys = [y0]
-    ps = [p0]
-    y, p = y0, p0
-    truncated = False
-    for _ in range(nsteps):
-        try:
-            k1y, k1p = rhs(y, p)
-            k2y, k2p = rhs(y + 0.5 * h * k1y, p + 0.5 * h * k1p)
-            k3y, k3p = rhs(y + 0.5 * h * k2y, p + 0.5 * h * k2p)
-            k4y, k4p = rhs(y + h * k3y, p + h * k3p)
-            y_new = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-            p_new = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            rhs(y_new, p_new)
-        except _GuardHit:
-            truncated = True
-            break
-        y, p = y_new, p_new
-        ys.append(y)
-        ps.append(p)
-    return ys, ps, truncated
+def _march(alpha: float, v: float, x0: float, start: tuple, h: float, nsteps: int):
+    """March (y, y', z, z') one direction from x0; h carries the sign.
+
+    Returns one 4-tuple per node and whether a guard stopped the march.  The
+    guards test y and y' only; z and z' run on as Python floats, so an
+    overflow ends as inf or NaN without a NumPy warning.
+    """
+
+    def rates(x: float, y: float, p: float, z: float, q: float) -> tuple:
+        if not (math.isfinite(y) and math.isfinite(p)) or y <= Y_MIN or abs(p) >= SLOPE_MAX:
+            raise _GuardHit
+        return _rates(alpha, v, x, y, p, z, q)
+
+    half, sixth = 0.5 * h, h / 6.0
+    x, (y, p, z, q) = x0, start
+    samples = [start]
+    try:
+        k1y, k1p, k1z, k1q = rates(x, y, p, z, q)
+        for i in range(1, nsteps + 1):
+            xm, x = x + half, x0 + i * h
+            k2y, k2p, k2z, k2q = rates(xm, y + half * k1y, p + half * k1p, z + half * k1z, q + half * k1q)
+            k3y, k3p, k3z, k3q = rates(xm, y + half * k2y, p + half * k2p, z + half * k2z, q + half * k2q)
+            k4y, k4p, k4z, k4q = rates(x, y + h * k3y, p + h * k3p, z + h * k3z, q + h * k3q)
+            y += sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+            p += sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+            z += sixth * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+            q += sixth * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+            # The guard on the new node is also the next step's first stage.
+            k1y, k1p, k1z, k1q = rates(x, y, p, z, q)
+            samples.append((y, p, z, q))
+    except _GuardHit:
+        return samples, True
+    return samples, False
+
+
+def _solve(
+    alpha: float, v: float, init: InitialData, domain: tuple[float, float], config: SolverConfig
+) -> tuple[SampledReal, SampledReal]:
+    """March the system both ways from the anchor; returns the y and z samples."""
+    a, b = float(domain[0]), float(domain[1])
+    if not (a < b and np.isfinite(a) and np.isfinite(b)):
+        raise InvalidParams(f"domain must be a finite interval with a < b, got ({a}, {b})")
+    h = config.step
+    if not (h > 0.0 and np.isfinite(h)):
+        raise InvalidParams(f"step must be positive, got {h}")
+    if not (b - a) / h <= MAX_STEPS:
+        raise InvalidParams(f"step {h:g} needs more than {MAX_STEPS} steps across length {b - a:g}")
+    if not (init.y0 > 0.0 and np.isfinite(init.y0)):
+        raise InvalidParams(f"y0 must be positive, got {init.y0}")
+    if not (a - 1e-12 <= init.x0 <= b + 1e-12):
+        raise InvalidParams(f"x0 = {init.x0} outside the requested domain")
+
+    n_right = _steps(b - init.x0, h)
+    n_left = _steps(init.x0 - a, h)
+    if n_right + n_left == 0:
+        raise InvalidParams("domain shorter than one step")
+
+    start = (float(init.y0), float(init.yp0), float(init.z0), float(init.zp0))
+    right, trunc_r = _march(alpha, v, init.x0, start, h, n_right)
+    left, trunc_l = _march(alpha, v, init.x0, start, -h, n_left)
+    for way, samples, truncated in (("forward", right, trunc_r), ("backward", left, trunc_l)):
+        if truncated and len(samples) - 1 < MIN_STEPS:
+            raise ImmediateSingularity(f"guard hit after {len(samples) - 1} {way} steps")
+
+    grid = init.x0 + np.arange(1 - len(left), len(right)) * h
+    y, yp, z, zp = np.array(left[:0:-1] + right, dtype=float).T.copy()
+    # A z large enough to overflow z'' is rejected with the non-finite z.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, ypp, _, zpp = _rates(alpha, v, grid, y, yp, z, zp)
+    finite = np.isfinite(z) & np.isfinite(zp) & np.isfinite(zpp)
+    if not np.all(finite):
+        bad = grid[~finite]
+        raise NumericalFailure(f"dual solution is not finite from x = {bad[np.argmin(np.abs(bad - init.x0))]:g}")
+    return (
+        SampledReal(grid, y, yp, ypp, init.x0, trunc_l, trunc_r),
+        SampledReal(grid, z, zp, zpp, init.x0, trunc_l, trunc_r),
+    )
 
 
 def solve_real(
@@ -137,37 +178,11 @@ def solve_real(
     domain: tuple[float, float],
     config: SolverConfig = SolverConfig(),
 ) -> SampledReal:
-    """Integrate the graph equation from (x0, y0, yp0) across the domain."""
-    a, b = float(domain[0]), float(domain[1])
-    if not (a < b and np.isfinite(a) and np.isfinite(b)):
-        raise InvalidParams(f"domain must be a finite interval with a < b, got ({a}, {b})")
-    _validate(config, b - a)
-    if not (init.y0 > 0.0 and np.isfinite(init.y0)):
-        raise InvalidParams(f"y0 must be positive, got {init.y0}")
-    if not (a - 1e-12 <= init.x0 <= b + 1e-12):
-        raise InvalidParams(f"x0 = {init.x0} outside the requested domain")
+    """Integrate the graph equation from (x0, y0, yp0) across the domain.
 
-    h = config.step
-    n_right = _steps(b - init.x0, h)
-    n_left = _steps(init.x0 - a, h)
-
-    ys_r, ps_r, trunc_r = _march(alpha, init.x0, init.y0, init.yp0, h, n_right, config)
-    ys_l, ps_l, trunc_l = _march(alpha, init.x0, init.y0, init.yp0, -h, n_left, config)
-
-    if trunc_r and len(ys_r) - 1 < MIN_STEPS:
-        raise ImmediateSingularity(f"guard hit after {len(ys_r) - 1} forward steps")
-    if trunc_l and len(ys_l) - 1 < MIN_STEPS:
-        raise ImmediateSingularity(f"guard hit after {len(ys_l) - 1} backward steps")
-
-    kl = len(ys_l) - 1
-    ks = np.arange(-kl, len(ys_r))
-    grid = init.x0 + ks * h
-    val = np.array(ys_l[:0:-1] + ys_r, dtype=float)
-    d1 = np.array(ps_l[:0:-1] + ps_r, dtype=float)
-    if len(grid) < 2:
-        raise InvalidParams("domain shorter than one step")
-    d2 = alpha * (1.0 + d1 * d1) / val
-    return SampledReal(grid, val, d1, d2, init.x0, trunc_l, trunc_r)
+    The march carries z = z' = 0, so the dual data in init cannot stop it.
+    """
+    return _solve(alpha, 0.0, replace(init, z0=0.0, zp0=0.0), domain, config)[0]
 
 
 def solve_dual(
@@ -177,63 +192,22 @@ def solve_dual(
     init: InitialData,
     config: SolverConfig = SolverConfig(),
 ) -> SampledReal:
-    """Integrate the linearized equation for z along a stored real solution.
+    """The z part of the system, re-marched from the anchor over y_solution's grid.
 
-    y and y' at the RK4 nodes and half-steps come from cubic Hermite splines
-    of the real solution, evaluated once on the grid and once on each
-    direction's half-steps; at the nodes the splines reproduce the stored
-    samples.  A z or z' that overflows raises NumericalFailure.
+    Raises GridMismatch unless the march reproduces y_solution, that is unless
+    both come from the same initial point and step.  A z or z' that overflows
+    raises NumericalFailure.
     """
     grid = y_solution.grid
-    _validate(config, grid[-1] - grid[0])
-    y_of = HermiteSpline(grid, y_solution.val, y_solution.d1)
-    yp_of = HermiteSpline(grid, y_solution.d1, y_solution.d2)
     i0 = y_solution.anchor_index()
     if abs(grid[i0] - init.x0) > 1e-9 * (1.0 + abs(init.x0)):
         raise InvalidParams(f"x0 = {init.x0} is not the anchor of the real solution")
-
-    def zpp_at(x: float, y: float, yp: float, z: float, q: float) -> float:
-        return -(alpha * (yp / y) * (q + v) + alpha * (z + v * x) / (y * y))
-
-    # Python floats, so an overflowing march runs on to the finiteness check
-    # below without NumPy warnings.
-    nodes = grid.tolist()
-    y_nodes = y_of(grid).tolist()
-    yp_nodes = yp_of(grid).tolist()
-
-    def march(indices: np.ndarray) -> tuple[list, list]:
-        lo, hi = grid[indices[:-1]], grid[indices[1:]]
-        mid = lo + 0.5 * (hi - lo)
-        x_mid, y_mid, yp_mid = mid.tolist(), y_of(mid).tolist(), yp_of(mid).tolist()
-        zs = [init.z0]
-        qs = [init.zp0]
-        z, q = init.z0, init.zp0
-        for k, (a, b) in enumerate(zip(indices[:-1].tolist(), indices[1:].tolist())):
-            x_a, x_b = nodes[a], nodes[b]
-            h = x_b - x_a
-            xm, ym, ypm = x_mid[k], y_mid[k], yp_mid[k]
-            k1z, k1q = q, zpp_at(x_a, y_nodes[a], yp_nodes[a], z, q)
-            k2z, k2q = q + 0.5 * h * k1q, zpp_at(xm, ym, ypm, z + 0.5 * h * k1z, q + 0.5 * h * k1q)
-            k3z, k3q = q + 0.5 * h * k2q, zpp_at(xm, ym, ypm, z + 0.5 * h * k2z, q + 0.5 * h * k2q)
-            k4z, k4q = q + h * k3q, zpp_at(x_b, y_nodes[b], yp_nodes[b], z + h * k3z, q + h * k3q)
-            z = z + (h / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-            q = q + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-            zs.append(z)
-            qs.append(q)
-        return zs, qs
-
-    zs_r, qs_r = march(np.arange(i0, len(grid)))
-    zs_l, qs_l = march(np.arange(i0, -1, -1))
-
-    zv = np.array(zs_l[:0:-1] + zs_r, dtype=float)
-    zp = np.array(qs_l[:0:-1] + qs_r, dtype=float)
-    finite = np.isfinite(zv) & np.isfinite(zp)
-    if not np.all(finite):
-        bad = grid[~finite]
-        raise NumericalFailure(f"dual solution is not finite from x = {bad[np.argmin(np.abs(bad - init.x0))]:g}")
-    zpp = np.array(list(map(zpp_at, nodes, y_nodes, yp_nodes, zv.tolist(), zp.tolist())), dtype=float)
-    return SampledReal(
-        grid, zv, zp, zpp, y_solution.anchor, y_solution.truncated_left, y_solution.truncated_right
+    y_sol, z_sol = _solve(alpha, v, init, (grid[0], grid[-1]), config)
+    if not all(np.array_equal(getattr(y_sol, f), getattr(y_solution, f)) for f in ("grid", "val", "d1")):
+        raise GridMismatch("the real solution was not marched from these initial data and step")
+    return replace(
+        z_sol, anchor=y_solution.anchor,
+        truncated_left=y_solution.truncated_left, truncated_right=y_solution.truncated_right,
     )
 
 
@@ -271,7 +245,7 @@ def assemble(
     y = SampledCoordinate(grid, y_solution.val, y_solution.d1, y_solution.d2)
     z = SampledCoordinate(grid, z_solution.val, z_solution.d1, z_solution.d2)
     w = SampledCoordinate(grid, w_solution.val, w_solution.d1, w_solution.d2)
-    return GraphCurve((float(grid[0]), float(grid[-1])), y, w, z, Numeric(grid))
+    return GraphCurve((float(grid[0]), float(grid[-1])), y, w, z, Numeric(grid, y_solution.truncated))
 
 
 def solve_curve(
@@ -281,8 +255,6 @@ def solve_curve(
     v: float = 0.0,
     config: SolverConfig = SolverConfig(),
 ) -> GraphCurve:
-    """Full pipeline: real solve, dual solve, w recovery, assembly."""
-    y_sol = solve_real(alpha, init, domain, config)
-    z_sol = solve_dual(alpha, v, y_sol, init, config)
-    w_sol = recover_w(y_sol, z_sol, init.w0)
-    return assemble(y_sol, z_sol, w_sol)
+    """Full pipeline: one march for y and z, w recovery, assembly."""
+    y_sol, z_sol = _solve(alpha, v, init, domain, config)
+    return assemble(y_sol, z_sol, recover_w(y_sol, z_sol, init.w0))

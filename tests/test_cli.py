@@ -66,6 +66,11 @@ class TestGenerate:
         assert code == 0
         assert json.loads(out)["grid"] == [-1.0, 0.0, 1.0]
 
+    def test_negative_value_as_its_own_token(self, capsys):
+        joined = run_cli(capsys, "generate", "--alpha", "1", "--v=-1e-05", "--d1=-0.5", "--samples", "3")
+        spaced = run_cli(capsys, "generate", "--alpha", "1", "--v", "-1e-05", "--d1", "-.5", "--samples", "3")
+        assert joined[0] == 0 and spaced == joined
+
     def test_solver_truncation_exits_3(self, capsys):
         code, _, err = run_cli(
             capsys, "generate", "--alpha", "3", "--solve", "--domain", "-1:1"
@@ -211,6 +216,7 @@ class TestErrors:
             ("verify", "--alpha", "0.5", "--solve", "--domain=-0.75:0.75", "--zp0", "1.7e308"),
             # the inferred first-integral constant leaves the float range
             ("verify", "--alpha", "-1", "--curve-alpha", "0", "--m", "1e-200", "--samples", "3"),
+            ("verify", "--alpha", "1", "--v", "-inf"),  # a separate negative value reaches _validate
         ],
     )
     def test_usage_errors_exit_2(self, capsys, argv):
@@ -247,6 +253,8 @@ def test_module_entry_point():
         # cosh(c*x + m) overflows at the domain ends, before any formula runs
         (("verify", "--alpha", "1", "--c", "1000", "--samples", "3"), "c"),
         (("variation", "--alpha", "1", "--c", "1000", "--count", "1"), "c"),
+        # heights reach 5e305, so height times speed overflows in the energy
+        (("energy", "--alpha", "1", "--c", "1.5", "--domain=0:470"), "e0"),
     ],
 )
 def test_overflowing_parameter_gives_one_error_line(argv, name):

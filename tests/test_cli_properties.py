@@ -3,8 +3,7 @@
 Each example draws a subcommand, a closed-form family with parameters in the
 ranges the README and the benchmark use, and sometimes one known bad input: a
 non-finite float, ``--samples 1``, ``--count 0`` or a domain with lo >= hi.
-Float values are passed as ``--flag=value``: argparse reads a separate
-``-1e-05`` or ``-inf`` token as an option, not as the flag's value.
+Each value is passed as ``--flag=value`` or as ``--flag value``.
 """
 
 import contextlib
@@ -22,11 +21,16 @@ FAMILIES = {
     "-1": ({"R": (1.0, 2.5), "m": (-0.3, 0.3)}, None),
 }
 DEFORMATION = ("v", "d1", "d2", "d3")
-FLOAT_FLAGS = ("--alpha", "--c", "--m", "--R", "--v", "--d1", "--d2", "--d3", "--tol")
+FLOAT_FLAGS = ("alpha", "c", "m", "R", "v", "d1", "d2", "d3", "tol")
 
 
 def _num(draw, lo, hi):
     return draw(st.floats(lo, hi, allow_nan=False, allow_infinity=False))
+
+
+def _flag(draw, name, value):
+    """``--name=value`` or ``--name value``, as drawn."""
+    return [f"--{name}={value}"] if draw(st.booleans()) else [f"--{name}", value]
 
 
 @st.composite
@@ -37,20 +41,20 @@ def cli_argv(draw):
     params = {name: _num(draw, lo, hi) for name, (lo, hi) in ranges.items()}
     argv = [command, "--alpha", family]
     for name, val in params.items():
-        argv.append(f"--{name}={val!r}")
+        argv += _flag(draw, name, repr(val))
     for name in DEFORMATION:
         if draw(st.booleans()):
-            argv.append(f"--{name}={_num(draw, -1.2, 1.2)!r}")
+            argv += _flag(draw, name, repr(_num(draw, -1.2, 1.2)))
     if draw(st.booleans()):
         if domain is None:
             radius = params["R"]
             domain = (params["m"] - 0.9 * radius, params["m"] + 0.9 * radius)
         lo, hi = sorted(_num(draw, *domain) for _ in range(2))
         if lo < hi:
-            argv.append(f"--domain={lo!r}:{hi!r}")
+            argv += _flag(draw, "domain", f"{lo!r}:{hi!r}")
     argv += ["--samples", str(draw(st.integers(2, 40)))]
     if command == "verify" and draw(st.booleans()):
-        argv += ["--tol", repr(draw(st.floats(1e-12, 1e-2)))]
+        argv += _flag(draw, "tol", repr(draw(st.floats(1e-12, 1e-2))))
     if command == "verify" and draw(st.booleans()):
         argv += ["--curve-alpha", draw(st.sampled_from(sorted(FAMILIES)))]
     if command == "generate":
@@ -60,12 +64,12 @@ def cli_argv(draw):
     if command == "variation":
         argv += ["--count", str(draw(st.integers(1, 2))), "--seed", str(draw(st.integers(0, 10**6)))]
         if draw(st.booleans()):
-            argv += ["--perturb", repr(_num(draw, 0.05, 0.15))]
+            argv += _flag(draw, "perturb", repr(_num(draw, 0.05, 0.15)))
 
     bad = draw(st.sampled_from((None,) * 6 + ("non-finite", "samples", "count", "domain")))
     if bad == "non-finite":
         flag, val = draw(st.sampled_from(FLOAT_FLAGS)), draw(st.sampled_from(("nan", "inf", "-inf")))
-        argv.append(f"{flag}={val}")
+        argv += _flag(draw, flag, val)
     elif bad == "samples":
         argv += ["--samples", "1"]
     elif bad == "count":
@@ -73,7 +77,7 @@ def cli_argv(draw):
     elif bad == "domain":
         hi = _num(draw, -1.0, 1.0)
         lo = hi + draw(st.sampled_from((0.0, 0.5)))
-        argv.append(f"--domain={lo!r}:{hi!r}")
+        argv += _flag(draw, "domain", f"{lo!r}:{hi!r}")
     return argv
 
 
@@ -91,15 +95,13 @@ def _numbers(text):
 @given(cli_argv())
 def test_cli_flag_properties(argv):
     out, err = io.StringIO(), io.StringIO()
+    # Every drawn spelling parses, so an argparse rejection (SystemExit) fails.
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejected the flags
-            assert exc.code == 2, argv
-            return
+        code = main(argv)
     assert code in (0, 1, 2, 3), argv
     lines = out.getvalue().splitlines()
-    if lines and lines[-1].split() == ["result", "PASS"]:
+    passed = lines and lines[-1].split() == ["result", "PASS"]
+    if passed or (argv[0] == "energy" and code == 0):
         assert all(math.isfinite(v) for v in _numbers(out.getvalue())), argv
     for line in err.getvalue().splitlines():
         assert line.startswith(("error:", "warning:")), (argv, line)
