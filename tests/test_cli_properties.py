@@ -72,7 +72,7 @@ def cli_argv(draw):
         argv += _flag(draw, flag, val)
     elif bad == "samples":
         argv += ["--samples", "1"]
-    elif bad == "count":
+    elif bad == "count" and command == "variation":  # only variation takes --count
         argv += ["--count", "0"]
     elif bad == "domain":
         hi = _num(draw, -1.0, 1.0)

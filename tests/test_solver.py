@@ -193,14 +193,14 @@ class TestDualSolveAndRecovery:
         ],
     )
     def test_bit_identical_to_scalar_spline_march(self, alpha, v, init):
-        # The name predates the stacked march: z now stays within 1e-12 of the
-        # superseded scalar spline march, and the curve is bit-identical to
-        # the manual pipeline built on that z.
+        # The name predates the stacked march: z, z' and z'' now stay within
+        # 1e-12 of the superseded scalar spline march, and the curve is
+        # bit-identical to the manual pipeline built on that z.
         domain = (-0.75, 0.75)
         y_sol = solve_real(alpha, init, domain)
         ref = reference_solve_dual(alpha, v, y_sol, init)
         z_sol = solve_dual(alpha, v, y_sol, init)
-        for name in ("val", "d1"):
+        for name in ("val", "d1", "d2"):
             assert np.max(np.abs(getattr(z_sol, name) - getattr(ref, name))) <= 1e-12
 
         curve = solve_curve(alpha, init, domain, v=v)
