@@ -284,20 +284,20 @@ def cmd_variation(args) -> int:
     u = DirectionSpec(args.v)
     tol = args.tol if args.tol is not None else VARIATION_TOL
     abs_re, abs_du = [], []
-    # On a very short domain the bump slopes overflow: dE is then inf or NaN,
-    # and the gate below fails it.
+    # On a very short domain the slopes of the --perturb bump overflow: dE is
+    # then inf or NaN, and the gate below fails it.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(args.count):
             var = None
             for attempt in range(VARIATION_RETRIES):
                 try:
-                    var = make_constrained_variation(curve, args.seed + i + 7919 * attempt)
+                    var = make_constrained_variation(curve, args.seed + i + 7919 * attempt, args.panels)
                     break
                 except DegenerateVariation:
                     continue
             if var is None:
                 raise DegenerateVariation(f"no usable variation for seed {args.seed + i}")
-            fv = first_variation(curve, var, u, args.alpha)
+            fv = first_variation(curve, var, u, args.alpha, args.panels)
             abs_re.append(abs(fv.re))
             abs_du.append(abs(fv.du))
             print(f"seed {args.seed + i}: dE = {_g17(fv.re)} + {_g17(fv.du)} eps")

@@ -47,18 +47,6 @@ def gauss_legendre_nodes(
     return nodes, weights
 
 
-def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    panels: int = PANELS,
-    order: int = GL_ORDER,
-) -> float:
-    """Integral of a vectorized integrand over [a, b]."""
-    x, w = gauss_legendre_nodes(a, b, panels, order)
-    return float(np.dot(w, f(x)))
-
-
 def partitioned_nodes(
     a: float,
     b: float,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import quadrature
 from .curves import ClosedForm, Coordinate, GraphCurve
-from .dual import DirectionSpec, DualScalar, _dedim, dual_norm
+from .dual import DirectionSpec, DualScalar, DualVec2, _dedim, dual_dot, dual_norm
 from .errors import DegenerateVariation, DomainError, InvalidParams, NumericalFailure
 
 # Bump amplitude used for seeded variations; small enough that quadrature
@@ -27,8 +27,6 @@ VARIATION_AMP = 0.05
 # Thresholds for the solvability of the one-dimensional constraint correction.
 FIXER_DENOM_MIN = 1e-10
 CONSTRAINT_NEGLIGIBLE = 1e-12
-
-FD_STEP = 1e-4
 
 # Absolute tolerance of a perturbed curve's rebuilt w over its whole interval.
 W_TOL = 1e-12
@@ -199,10 +197,6 @@ class BumpSum:
             out.extend((b.center - b.radius, b.center + b.radius))
         return tuple(out)
 
-    def sup(self, a: float, b: float, n: int = 1024) -> float:
-        xs = np.linspace(a, b, n)
-        return float(np.max(np.abs(self.value(xs))))
-
 
 @dataclass(frozen=True)
 class VariationField:
@@ -315,27 +309,30 @@ def first_variation(
     var: VariationField,
     u: DirectionSpec,
     alpha: float,
-    h: float = FD_STEP,
     panels: int = quadrature.PANELS,
 ) -> DualScalar:
-    """Central-difference directional derivative of the energy along var.
+    """Directional derivative of the energy along var, in closed form.
 
-    The step shrinks if the deformation could push the curve out of the upper
-    half plane.  Both dual components of the derivative vanish (to quadrature
-    and finite-difference accuracy) exactly at stationary curves.
+    y and z move by ``s*delta`` and w is rebuilt from admissibility, as in
+    ``perturbed_curve``: at s = 0, ``dH = delta_y + eps*delta_z`` and
+    ``dgamma' = (0, delta_y') + eps*(-(y'*delta_z' + z'*delta_y'), delta_z')``.
+    The chain rule in the dual algebra gives the integrand
+    ``alpha*H**(alpha-1)*dH*|gamma'| + H**alpha*<gamma', dgamma'>/|gamma'|``.
+    Both dual components vanish, to quadrature accuracy, at stationary curves.
     """
     a, b = curve.domain
-    x, _ = quadrature.gauss_legendre_nodes(a, b, panels)
-    min_y = float(np.min(_heights(curve, x)))
-    sup_dy = var.delta_y.sup(a, b)
-    h_eff = float(h)
-    if sup_dy > 0.0:
-        h_eff = min(h_eff, 0.1 * min_y / sup_dy)
-
-    breaks = var.delta_y.edges() + var.delta_z.edges()
-    plus = energy(perturbed_curve(curve, var.delta_y, var.delta_z, h_eff), u, alpha, panels, breaks)
-    minus = energy(perturbed_curve(curve, var.delta_y, var.delta_z, -h_eff), u, alpha, panels, breaks)
-    return (plus.total - minus.total) * (0.5 / h_eff)
+    dy, dz = var.delta_y, var.delta_z
+    x, wts = quadrature.partitioned_nodes(a, b, dy.edges() + dz.edges(), panels)
+    _heights(curve, x)
+    yp, zp = curve.y.deriv(x), curve.z.deriv(x)
+    dyp, dzp = dy.deriv(x), dz.deriv(x)
+    height = curve.height(u, x)
+    vel = DualVec2((1.0, yp), (-yp * zp, zp))
+    dvel = DualVec2((0.0, dyp), (-(yp * dzp + zp * dyp), dzp))
+    speed = dual_norm(vel)
+    d_height = DualScalar(dy.value(x), dz.value(x))
+    integrand = alpha * height ** (alpha - 1.0) * d_height * speed + height**alpha * dual_dot(vel, dvel) / speed
+    return DualScalar(float(np.dot(wts, integrand.re)), float(np.dot(wts, integrand.du)))
 
 
 @dataclass(frozen=True)

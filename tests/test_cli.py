@@ -175,6 +175,33 @@ class TestEnergy:
 
 
 class TestVariation:
+    def test_readme_example(self, capsys):
+        code, out, _ = run_cli(capsys, "variation", "--alpha", "1", "--count", "3")
+        assert code == 0
+        assert out == (
+            "seed 0: dE = 2.1277467635028025e-18 + -4.594306705907325e-18 eps\n"
+            "seed 1: dE = 3.0899761915836876e-18 + -2.8663594935085523e-18 eps\n"
+            "seed 2: dE = 3.1983964088322381e-18 + -1.4331797467542762e-18 eps\n"
+            "max_abs_re             3.1983964088322381e-18\n"
+            "max_abs_du             4.594306705907325e-18\n"
+            "tolerance              1.0000000000000001e-05\n"
+            "result                 PASS\n"
+        )
+
+    def test_panels_reach_the_library(self, capsys):
+        argv = ("variation", "--alpha", "1", "--perturb", "0.1", "--count", "1")
+        _, out, _ = run_cli(capsys, *argv, "--panels", "8")
+        _, default, _ = run_cli(capsys, *argv)
+        curve = dualcat.perturbed_curve(
+            dualcat.closed_form(dualcat.CatenaryParams(alpha=1.0), (-1.0, 1.0)),
+            dualcat.BumpSum((dualcat.Bump(0.0, 0.6),), (1.0,)), dualcat.BumpSum((), ()), 0.1,
+        )
+        var = dualcat.make_constrained_variation(curve, 0, panels=8)
+        fv = dualcat.first_variation(curve, var, dualcat.DirectionSpec(0.0), 1.0, panels=8)
+        first = "seed 0: dE = %.17g + %.17g eps" % (fv.re, fv.du)
+        assert out.splitlines()[0] == first
+        assert default.splitlines()[0] != first
+
     def test_stationary_family_passes(self, capsys):
         code, out, _ = run_cli(
             capsys, "variation", "--alpha", "1", "--count", "3", "--v", "0.5"

@@ -59,7 +59,7 @@ def cli_argv(draw):
         argv += ["--curve-alpha", draw(st.sampled_from(sorted(FAMILIES)))]
     if command == "generate":
         argv += ["--format", draw(st.sampled_from(("csv", "json")))]
-    if command == "energy":
+    if command in ("energy", "variation"):
         argv += ["--panels", str(draw(st.integers(1, 64)))]
     if command == "variation":
         argv += ["--count", str(draw(st.integers(1, 2))), "--seed", str(draw(st.integers(0, 10**6)))]

@@ -18,6 +18,7 @@ from dualcat import (
     GraphCurve,
     InvalidParams,
     NumericalFailure,
+    VariationField,
     catenary_alpha0,
     catenary_alpha1,
     catenary_alpha_minus1,
@@ -175,6 +176,33 @@ class TestResiduals:
         fd = (ep.e0 - em.e0) / (2.0 * h)
         assert fd == pytest.approx(oracle, abs=1e-8)
 
+        fv = first_variation(base, VariationField(delta, EMPTY, 0.0), VERTICAL, alpha)
+        assert fv.re == pytest.approx(oracle, abs=1e-12)
+        assert fv.du == 0.0
+
+    @pytest.mark.parametrize(
+        "curve, alpha, v",
+        [
+            (catenary_alpha1(CatenaryParams(alpha=1.0, c=1.3, v=0.8, d1=0.4, d2=-0.3, d3=0.2)), 1.0, 0.8),
+            (catenary_alpha0(CatenaryParams(alpha=0.0, c=1.6, m=3.0, v=-0.5, d1=0.7, d2=0.1)), 0.0, -0.5),
+            (catenary_alpha_minus1(CatenaryParams(alpha=-1.0, R=2.0, m=0.2, v=0.6, d1=-0.9, d2=0.5)), -1.0, 0.6),
+            (cosh_graph(), 2.0, 0.0),
+        ],
+    )
+    def test_first_variation_along_delta_z_is_the_potential_response(self, curve, alpha, v):
+        # With delta_y = 0 the speed term <gamma', dgamma'> = y'*dz' - y'*dz'
+        # vanishes, leaving the eps part integral(alpha*y**(alpha-1)*nu*delta_z).
+        a, b = curve.domain
+        for seed in range(3):
+            delta = make_constrained_variation(curve, seed).delta_z
+            xs, wts = partitioned_nodes(a, b, delta.edges(), 64)
+            y = curve.y.value(xs)
+            nu = np.hypot(1.0, curve.y.deriv(xs))
+            oracle = float(np.dot(wts, alpha * y ** (alpha - 1.0) * nu * delta.value(xs)))
+            fv = first_variation(curve, VariationField(EMPTY, delta, 0.0), DirectionSpec(v), alpha)
+            assert fv.re == 0.0
+            assert fv.du == pytest.approx(oracle, abs=1e-12)
+
 
 class TestVariations:
     def test_field_shape_and_determinism(self):
@@ -235,14 +263,22 @@ class TestVariations:
         ]
         assert max(responses) >= 1e-3
 
-    def test_step_halving_stability(self):
-        cv = catenary_alpha1(CatenaryParams(alpha=1.0, v=0.5, d2=0.6))
+    def test_matches_central_difference(self):
+        # The closed form against the difference quotient of two dual
+        # energies, on a curve that is not stationary.
+        base = catenary_alpha1(CatenaryParams(alpha=1.0, v=0.5, d2=0.6))
+        cv = perturbed_curve(base, BumpSum((Bump(0.0, 0.6),), (1.0,)), EMPTY, 0.1)
         u = DirectionSpec(0.5)
-        var = make_constrained_variation(cv, 7)
-        f1 = first_variation(cv, var, u, 1.0, h=1e-4)
-        f2 = first_variation(cv, var, u, 1.0, h=5e-5)
-        assert abs(f1.re - f2.re) <= 1e-6 and abs(f1.du - f2.du) <= 1e-6
-        assert abs(f2.re) <= 1e-6 and abs(f2.du) <= 1e-6
+        for seed in range(5):
+            var = make_constrained_variation(cv, seed)
+            fv = first_variation(cv, var, u, 1.0)
+            breaks = var.delta_y.edges() + var.delta_z.edges()
+            for h in (1e-4, 5e-5):
+                ep = energy(perturbed_curve(cv, var.delta_y, var.delta_z, +h), u, 1.0, breakpoints=breaks)
+                em = energy(perturbed_curve(cv, var.delta_y, var.delta_z, -h), u, 1.0, breakpoints=breaks)
+                fd = (ep.total - em.total) * (0.5 / h)
+                assert abs(fv.re - fd.re) <= 1e-9
+                assert abs(fv.du - fd.du) <= 1e-9
 
 
 class TestPerturbedCurve:
