@@ -45,23 +45,13 @@ from .errors import (
     DegenerateVariation,
     DomainError,
     DualcatError,
-    GridMismatch,
     ImmediateSingularity,
     InvalidParams,
     NumericalFailure,
     OutOfDomain,
     ZeroRealPart,
 )
-from .solver import (
-    InitialData,
-    SampledReal,
-    SolverConfig,
-    assemble,
-    recover_w,
-    solve_curve,
-    solve_dual,
-    solve_real,
-)
+from .solver import InitialData, solve_curve
 from .variational import (
     Bump,
     BumpSum,

@@ -23,7 +23,7 @@ from .closed_forms import CatenaryParams, closed_form
 from .curves import GraphCurve
 from .dual import DirectionSpec
 from .errors import DegenerateVariation, DualcatError, ImmediateSingularity, NumericalFailure
-from .solver import InitialData, SolverConfig, solve_curve
+from .solver import STEP, InitialData, solve_curve
 from .variational import (
     Bump,
     BumpSum,
@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=None)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--solve", action="store_true", help="integrate numerically instead of using a closed form")
-    common.add_argument("--step", type=float, default=1e-3, help="solver step size")
+    common.add_argument("--step", type=float, default=STEP, help="solver step size")
     common.add_argument("--y0", type=float, default=1.0)
     common.add_argument("--yp0", type=float, default=0.0)
     common.add_argument("--z0", type=float, default=0.0)
@@ -185,7 +185,7 @@ def _build_curve(args, family_alpha: float) -> tuple[GraphCurve, bool]:
         lo, hi = domain if domain is not None else (-1.0, 1.0)
         x0 = 0.0 if lo <= 0.0 <= hi else 0.5 * (lo + hi)
         init = InitialData(x0, args.y0, args.yp0, args.z0, args.zp0, args.w0)
-        curve = solve_curve(family_alpha, init, (lo, hi), args.v, SolverConfig(step=args.step))
+        curve = solve_curve(family_alpha, init, (lo, hi), args.v, step=args.step)
         return curve, curve.source.truncated
 
     if family_alpha not in (-1.0, 0.0, 1.0):

@@ -148,7 +148,8 @@ class GraphCurve:
         a, b = self.domain
         slack = DOMAIN_SLACK * (1.0 + abs(a) + abs(b))
         arr = np.asarray(x, dtype=float)
-        if np.any(arr < a - slack) or np.any(arr > b + slack):
+        # Written so that NaN, which fails every comparison, is rejected too.
+        if not ((arr >= a - slack) & (arr <= b + slack)).all():
             raise OutOfDomain(f"x = {x} outside [{a}, {b}]")
 
     def evaluate(self, x: float) -> DualVec2:
@@ -258,7 +259,7 @@ class GraphCurve:
         a, b = self.domain
         table = self._arclength_table
         total = float(table.sums[-1])
-        if s < -ARCLEN_TOL or s > total + ARCLEN_TOL:
+        if not -ARCLEN_TOL <= s <= total + ARCLEN_TOL:
             raise OutOfDomain(f"arc length {s} outside [0, {total}]")
         if s <= ARCLEN_TOL:
             return a

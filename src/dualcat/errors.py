@@ -25,10 +25,6 @@ class ImmediateSingularity(DualcatError):
     """ODE integration hit a guard within the first few steps."""
 
 
-class GridMismatch(DualcatError):
-    """Sampled solutions defined on different grids were combined."""
-
-
 class DegenerateVariation(DualcatError):
     """A constrained variation could not be built for the requested seed."""
 

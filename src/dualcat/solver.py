@@ -11,14 +11,17 @@ is then recovered from the admissibility constraint by per-cell quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import GraphCurve, Numeric, SampledCoordinate
-from .errors import GridMismatch, ImmediateSingularity, InvalidParams, NumericalFailure
+from .errors import ImmediateSingularity, InvalidParams, NumericalFailure
 from .quadrature import cell_integrals
 from .spline import HermiteSpline
+
+# Default RK4 step.
+STEP = 1e-3
 
 # A direction that truncates in fewer steps than this aborts the solve.
 MIN_STEPS = 10
@@ -33,11 +36,6 @@ SLOPE_MAX = 1e8
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    step: float = 1e-3
-
-
-@dataclass(frozen=True)
 class InitialData:
     """Initial point and first-order data for both dual components."""
 
@@ -47,33 +45,6 @@ class InitialData:
     z0: float = 0.0
     zp0: float = 0.0
     w0: float = 0.0
-
-
-@dataclass(frozen=True, eq=False)
-class SampledReal:
-    """One scalar field sampled on a uniform grid with two derivatives.
-
-    ``anchor`` is the x where initial data was posed; truncation flags say
-    whether a guard stopped the march before the requested endpoint.
-    """
-
-    grid: np.ndarray
-    val: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
-    anchor: float
-    truncated_left: bool = False
-    truncated_right: bool = False
-
-    @property
-    def truncated(self) -> bool:
-        return self.truncated_left or self.truncated_right
-
-    def anchor_index(self) -> int:
-        i = int(np.argmin(np.abs(self.grid - self.anchor)))
-        if abs(self.grid[i] - self.anchor) > 1e-9 * (1.0 + abs(self.anchor)):
-            raise InvalidParams(f"anchor {self.anchor} not on the grid")
-        return i
 
 
 class _GuardHit(Exception):
@@ -128,36 +99,60 @@ def _march(alpha: float, v: float, x0: float, start: tuple, h: float, nsteps: in
     return samples, False
 
 
-def _solve(
-    alpha: float, v: float, init: InitialData, domain: tuple[float, float], config: SolverConfig
-) -> tuple[SampledReal, SampledReal]:
-    """March the system both ways from the anchor; returns the y and z samples."""
+def recover_w(
+    grid: np.ndarray, yp: np.ndarray, ypp: np.ndarray, zp: np.ndarray, zpp: np.ndarray, w0: float, anchor: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """w, w' and w'' on the grid from ``w' = -y'*z'`` and ``w(grid[anchor]) = w0``.
+
+    Each cell integral uses Gauss-Legendre quadrature of the spline
+    interpolants of y' and z', cumulatively summed from the left endpoint.
+    """
+    yp_of = HermiteSpline(grid, yp, ypp)
+    zp_of = HermiteSpline(grid, zp, zpp)
+    cells = cell_integrals(lambda x: -(yp_of(x) * zp_of(x)), grid)
+    cum = np.concatenate(([0.0], np.cumsum(cells)))
+    return (w0 - cum[anchor]) + cum, -(yp * zp), -(ypp * zp + yp * zpp)
+
+
+def solve_curve(
+    alpha: float,
+    init: InitialData,
+    domain: tuple[float, float],
+    v: float = 0.0,
+    *,
+    step: float = STEP,
+) -> GraphCurve:
+    """March the system both ways from init.x0 and interpolate y, z and w.
+
+    A guard that stops a march shrinks the curve's domain and marks its
+    Numeric tag truncated; one that stops it within MIN_STEPS raises
+    ImmediateSingularity, and a z or z' that overflows raises NumericalFailure.
+    """
     a, b = float(domain[0]), float(domain[1])
     if not (a < b and np.isfinite(a) and np.isfinite(b)):
         raise InvalidParams(f"domain must be a finite interval with a < b, got ({a}, {b})")
-    h = config.step
-    if not (h > 0.0 and np.isfinite(h)):
-        raise InvalidParams(f"step must be positive, got {h}")
-    if not (b - a) / h <= MAX_STEPS:
-        raise InvalidParams(f"step {h:g} needs more than {MAX_STEPS} steps across length {b - a:g}")
+    if not (step > 0.0 and np.isfinite(step)):
+        raise InvalidParams(f"step must be positive, got {step}")
+    if not (b - a) / step <= MAX_STEPS:
+        raise InvalidParams(f"step {step:g} needs more than {MAX_STEPS} steps across length {b - a:g}")
     if not (init.y0 > 0.0 and np.isfinite(init.y0)):
         raise InvalidParams(f"y0 must be positive, got {init.y0}")
     if not (a - 1e-12 <= init.x0 <= b + 1e-12):
         raise InvalidParams(f"x0 = {init.x0} outside the requested domain")
 
-    n_right = _steps(b - init.x0, h)
-    n_left = _steps(init.x0 - a, h)
+    n_right = _steps(b - init.x0, step)
+    n_left = _steps(init.x0 - a, step)
     if n_right + n_left == 0:
         raise InvalidParams("domain shorter than one step")
 
     start = (float(init.y0), float(init.yp0), float(init.z0), float(init.zp0))
-    right, trunc_r = _march(alpha, v, init.x0, start, h, n_right)
-    left, trunc_l = _march(alpha, v, init.x0, start, -h, n_left)
+    right, trunc_r = _march(alpha, v, init.x0, start, step, n_right)
+    left, trunc_l = _march(alpha, v, init.x0, start, -step, n_left)
     for way, samples, truncated in (("forward", right, trunc_r), ("backward", left, trunc_l)):
         if truncated and len(samples) - 1 < MIN_STEPS:
             raise ImmediateSingularity(f"guard hit after {len(samples) - 1} {way} steps")
 
-    grid = init.x0 + np.arange(1 - len(left), len(right)) * h
+    grid = init.x0 + np.arange(1 - len(left), len(right)) * step
     y, yp, z, zp = np.array(left[:0:-1] + right, dtype=float).T.copy()
     # A z large enough to overflow z'' is rejected with the non-finite z.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -166,95 +161,13 @@ def _solve(
     if not np.all(finite):
         bad = grid[~finite]
         raise NumericalFailure(f"dual solution is not finite from x = {bad[np.argmin(np.abs(bad - init.x0))]:g}")
-    return (
-        SampledReal(grid, y, yp, ypp, init.x0, trunc_l, trunc_r),
-        SampledReal(grid, z, zp, zpp, init.x0, trunc_l, trunc_r),
+
+    # The anchor x0 is the last node of the backward march.
+    w = recover_w(grid, yp, ypp, zp, zpp, init.w0, len(left) - 1)
+    return GraphCurve(
+        (float(grid[0]), float(grid[-1])),
+        SampledCoordinate(grid, y, yp, ypp),
+        SampledCoordinate(grid, *w),
+        SampledCoordinate(grid, z, zp, zpp),
+        Numeric(grid, trunc_l or trunc_r),
     )
-
-
-def solve_real(
-    alpha: float,
-    init: InitialData,
-    domain: tuple[float, float],
-    config: SolverConfig = SolverConfig(),
-) -> SampledReal:
-    """Integrate the graph equation from (x0, y0, yp0) across the domain.
-
-    The march carries z = z' = 0, so the dual data in init cannot stop it.
-    """
-    return _solve(alpha, 0.0, replace(init, z0=0.0, zp0=0.0), domain, config)[0]
-
-
-def solve_dual(
-    alpha: float,
-    v: float,
-    y_solution: SampledReal,
-    init: InitialData,
-    config: SolverConfig = SolverConfig(),
-) -> SampledReal:
-    """The z part of the system, re-marched from the anchor over y_solution's grid.
-
-    Raises GridMismatch unless the march reproduces y_solution, that is unless
-    both come from the same initial point and step.  A z or z' that overflows
-    raises NumericalFailure.
-    """
-    grid = y_solution.grid
-    i0 = y_solution.anchor_index()
-    if abs(grid[i0] - init.x0) > 1e-9 * (1.0 + abs(init.x0)):
-        raise InvalidParams(f"x0 = {init.x0} is not the anchor of the real solution")
-    y_sol, z_sol = _solve(alpha, v, init, (grid[0], grid[-1]), config)
-    if not all(np.array_equal(getattr(y_sol, f), getattr(y_solution, f)) for f in ("grid", "val", "d1")):
-        raise GridMismatch("the real solution was not marched from these initial data and step")
-    return replace(
-        z_sol, anchor=y_solution.anchor,
-        truncated_left=y_solution.truncated_left, truncated_right=y_solution.truncated_right,
-    )
-
-
-def recover_w(y_solution: SampledReal, z_solution: SampledReal, w0: float) -> SampledReal:
-    """Integrate ``w' = -y'*z'`` across the grid, anchored at the initial x.
-
-    Each cell integral uses Gauss-Legendre quadrature of the spline
-    interpolants, cumulatively summed from the left endpoint.
-    """
-    grid = y_solution.grid
-    if not np.array_equal(grid, z_solution.grid):
-        raise GridMismatch("real and dual solutions live on different grids")
-    yp_of = HermiteSpline(grid, y_solution.d1, y_solution.d2)
-    zp_of = HermiteSpline(grid, z_solution.d1, z_solution.d2)
-
-    cells = cell_integrals(lambda x: -(yp_of(x) * zp_of(x)), grid)
-    cum = np.concatenate(([0.0], np.cumsum(cells)))
-    i0 = y_solution.anchor_index()
-    wv = (w0 - cum[i0]) + cum
-    wp = -(y_solution.d1 * z_solution.d1)
-    wpp = -(y_solution.d2 * z_solution.d1 + y_solution.d1 * z_solution.d2)
-    return SampledReal(
-        grid, wv, wp, wpp, y_solution.anchor,
-        y_solution.truncated_left, y_solution.truncated_right,
-    )
-
-
-def assemble(
-    y_solution: SampledReal, z_solution: SampledReal, w_solution: SampledReal
-) -> GraphCurve:
-    """Bundle the three sampled fields into an interpolating curve."""
-    grid = y_solution.grid
-    if not (np.array_equal(grid, z_solution.grid) and np.array_equal(grid, w_solution.grid)):
-        raise GridMismatch("sampled components live on different grids")
-    y = SampledCoordinate(grid, y_solution.val, y_solution.d1, y_solution.d2)
-    z = SampledCoordinate(grid, z_solution.val, z_solution.d1, z_solution.d2)
-    w = SampledCoordinate(grid, w_solution.val, w_solution.d1, w_solution.d2)
-    return GraphCurve((float(grid[0]), float(grid[-1])), y, w, z, Numeric(grid, y_solution.truncated))
-
-
-def solve_curve(
-    alpha: float,
-    init: InitialData,
-    domain: tuple[float, float],
-    v: float = 0.0,
-    config: SolverConfig = SolverConfig(),
-) -> GraphCurve:
-    """Full pipeline: one march for y and z, w recovery, assembly."""
-    y_sol, z_sol = _solve(alpha, v, init, domain, config)
-    return assemble(y_sol, z_sol, recover_w(y_sol, z_sol, init.w0))

@@ -23,7 +23,6 @@ from dualcat import (
     GraphCurve,
     InitialData,
     SINH,
-    SolverConfig,
     catenary_alpha0,
     catenary_alpha1,
     catenary_alpha_minus1,
@@ -37,12 +36,9 @@ from dualcat import (
     make_constrained_variation,
     multiplier_residual,
     perturbed_curve,
-    recover_w,
     residual_report,
     reversed_catenary,
     solve_curve,
-    solve_dual,
-    solve_real,
 )
 
 RNG_SEED = 20260816
@@ -138,20 +134,18 @@ def test_criterion_3_reversed_curvature_is_real(announce):
 def test_criterion_4_solver_fidelity(announce):
     t0 = time.perf_counter()
 
-    sol = solve_real(1.0, InitialData(0.0, 1.0, 0.0), (-1.0, 1.0))
-    err_y = float(np.max(np.abs(sol.val - np.cosh(sol.grid))))
-
+    # y does not depend on the dual data, so this solve also checks y = cosh.
     init = InitialData(0.0, 1.0, 0.0, z0=1.0, zp0=0.0, w0=0.0)
-    y_sol = solve_real(1.0, init, (-1.0, 1.0))
-    z_sol = solve_dual(1.0, 0.0, y_sol, init)
-    w_sol = recover_w(y_sol, z_sol, init.w0)
-    g = y_sol.grid
-    err_z = float(np.max(np.abs(z_sol.val - 1.0 / np.cosh(g))))
-    err_w = float(np.max(np.abs(w_sol.val - (g - np.tanh(g)))))
+    curve = solve_curve(1.0, init, (-1.0, 1.0))
+    g = curve.source.grid
+    err_y = float(np.max(np.abs(curve.y.value(g) - np.cosh(g))))
+    err_z = float(np.max(np.abs(curve.z.value(g) - 1.0 / np.cosh(g))))
+    err_w = float(np.max(np.abs(curve.w.value(g) - (g - np.tanh(g)))))
 
     def sup_err(step):
-        s = solve_real(1.0, InitialData(0.0, 1.0, 0.0), (-1.0, 1.0), SolverConfig(step=step))
-        return float(np.max(np.abs(s.val - np.cosh(s.grid))))
+        s = solve_curve(1.0, InitialData(0.0, 1.0, 0.0), (-1.0, 1.0), step=step)
+        g = s.source.grid
+        return float(np.max(np.abs(s.y.value(g) - np.cosh(g))))
 
     ratio = sup_err(0.04) / sup_err(0.02)
     elapsed = time.perf_counter() - t0

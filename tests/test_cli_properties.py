@@ -1,7 +1,8 @@
 """Property test over the CLI flags, run in process so every example reuses one parser.
 
-Each example draws a subcommand, a closed-form family with parameters in the
-ranges the README and the benchmark use, and sometimes one known bad input: a
+Each example draws a subcommand, then either a closed-form family with
+parameters in the ranges the README and the benchmark use or a ``--solve``
+curve at a non-integer exponent, and sometimes one known bad input: a
 non-finite float, ``--samples 1``, ``--count 0`` or a domain with lo >= hi.
 Each value is passed as ``--flag=value`` or as ``--flag value``.
 """
@@ -20,6 +21,10 @@ FAMILIES = {
     "0": ({"c": (1.05, 2.5), "m": (2.5, 4.5)}, (-1.0, 1.0)),
     "-1": ({"R": (1.0, 2.5), "m": (-0.3, 0.3)}, None),
 }
+# --solve curves: the exponent, the initial-data ranges and the step sizes.
+SOLVE_ALPHA = (0.3, 0.8)
+SOLVE_INITIAL = ("yp0", "z0", "zp0")
+SOLVE_STEPS = ("1e-3", "2e-3", "5e-3", "1e-2")
 DEFORMATION = ("v", "d1", "d2", "d3")
 FLOAT_FLAGS = ("alpha", "c", "m", "R", "v", "d1", "d2", "d3", "tol")
 
@@ -36,12 +41,18 @@ def _flag(draw, name, value):
 @st.composite
 def cli_argv(draw):
     command = draw(st.sampled_from(("generate", "verify", "energy", "variation")))
-    family = draw(st.sampled_from(sorted(FAMILIES)))
-    ranges, domain = FAMILIES[family]
-    params = {name: _num(draw, lo, hi) for name, (lo, hi) in ranges.items()}
-    argv = [command, "--alpha", family]
-    for name, val in params.items():
-        argv += _flag(draw, name, repr(val))
+    if draw(st.integers(0, 4)) == 0:
+        argv, domain = [command, "--alpha", repr(_num(draw, *SOLVE_ALPHA)), "--solve"], (-1.0, 1.0)
+        for name in SOLVE_INITIAL:
+            argv += _flag(draw, name, repr(_num(draw, -0.3, 0.3)))
+        argv += _flag(draw, "step", draw(st.sampled_from(SOLVE_STEPS)))
+    else:
+        family = draw(st.sampled_from(sorted(FAMILIES)))
+        ranges, domain = FAMILIES[family]
+        params = {name: _num(draw, lo, hi) for name, (lo, hi) in ranges.items()}
+        argv = [command, "--alpha", family]
+        for name, val in params.items():
+            argv += _flag(draw, name, repr(val))
     for name in DEFORMATION:
         if draw(st.booleans()):
             argv += _flag(draw, name, repr(_num(draw, -1.2, 1.2)))

@@ -17,7 +17,6 @@ from dualcat import (
     InvalidParams,
     NumericalFailure,
     OutOfDomain,
-    SolverConfig,
     catenary_alpha0,
     catenary_alpha1,
     catenary_alpha_minus1,
@@ -56,6 +55,10 @@ class TestBasics:
             cv.curvature(-1.0000001)
         with pytest.raises(OutOfDomain):
             cv.arc_length(0.0, 2.0)
+        with pytest.raises(OutOfDomain):
+            cv.evaluate(math.nan)
+        with pytest.raises(OutOfDomain):
+            cv.arc_length(math.nan, 0.5)
 
     def test_admissibility_residual_detects_defect(self):
         # w = 0 paired with z = x gives residual y'*z' = sinh(x)
@@ -193,6 +196,8 @@ class TestArcLength:
             cv.x_at_arclength(-0.5)
         with pytest.raises(OutOfDomain):
             cv.x_at_arclength(100.0)
+        with pytest.raises(OutOfDomain):
+            cv.x_at_arclength(math.nan)
 
     def test_steep_circle_arc(self):
         # Slope about 22 at the ends of m +- 0.999R: uniform cells are not enough.
@@ -269,7 +274,7 @@ class TestArcLengthTable:
         assert total == pytest.approx(2.0 * math.sinh(1.0), abs=1e-12)
 
     def test_solved_curve_starts_from_knots(self):
-        cv = solve_curve(0.5, InitialData(0.0, 1.0, 0.0), (-0.75, 0.75), config=SolverConfig(step=0.01))
+        cv = solve_curve(0.5, InitialData(0.0, 1.0, 0.0), (-0.75, 0.75), step=0.01)
         assert np.all(np.isin(cv.y.grid, cv._arclength_table.edges))
 
 
