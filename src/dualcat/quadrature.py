@@ -34,19 +34,6 @@ def gauss_legendre_rule(order: int = GL_ORDER) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def gauss_legendre_nodes(
-    a: float, b: float, panels: int = PANELS, order: int = GL_ORDER
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of an ``order``-point rule on ``panels`` uniform panels of [a, b]."""
-    t, w = gauss_legendre_rule(order)
-    edges = np.linspace(a, b, panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mid[:, None] + half[:, None] * t[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
 def partitioned_nodes(
     a: float,
     b: float,
@@ -67,14 +54,23 @@ def partitioned_nodes(
     # dropped; a and b always stay, however short the interval.
     pts = np.unique(np.asarray([p for p in breakpoints if a + tol < p < b - tol], dtype=float))
     edges = np.concatenate(([a], pts[np.diff(pts, prepend=a) > tol], [b]))
-    nodes = []
-    weights = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        n = max(1, int(np.ceil(panels * (hi - lo) / span)))
-        x, w = gauss_legendre_nodes(float(lo), float(hi), n, order)
-        nodes.append(x)
-        weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    lo, hi = edges[:-1], edges[1:]
+    n = np.maximum(1, np.ceil(panels * (hi - lo) / span).astype(int))
+    # Panel k of a piece spans [k*step + lo, (k+1)*step + lo], the last one
+    # ending at hi: np.linspace's arithmetic, so bit for bit the same unless
+    # the step underflows to zero.
+    ends = np.cumsum(n)
+    k = np.arange(ends[-1]) - np.repeat(ends - n, n)
+    step, start = np.repeat((hi - lo) / n, n), np.repeat(lo, n)
+    left = k * step + start
+    right = (k + 1) * step + start
+    right[ends - 1] = hi
+    t, w = gauss_legendre_rule(order)
+    half = 0.5 * (right - left)
+    mid = 0.5 * (left + right)
+    nodes = (mid[:, None] + half[:, None] * t[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
+    return nodes, weights
 
 
 def _segment_integrals(f, lo: np.ndarray, hi: np.ndarray, order: int = GL_ORDER) -> np.ndarray:

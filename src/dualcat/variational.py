@@ -245,9 +245,10 @@ def make_constrained_variation(
     x, wts = quadrature.partitioned_nodes(a, b, breaks, panels)
     yp = np.asarray(curve.y.deriv(x), float)
     zp = np.asarray(curve.z.deriv(x), float)
+    dyp, dzp, fp = dy.deriv(x), dz.deriv(x), fixer.deriv(x)
 
-    k_raw = float(np.dot(wts, yp * dz.deriv(x) + zp * dy.deriv(x)))
-    denom = float(np.dot(wts, yp * fixer.deriv(x)))
+    k_raw = float(np.dot(wts, yp * dzp + zp * dyp))
+    denom = float(np.dot(wts, yp * fp))
 
     if abs(denom) < FIXER_DENOM_MIN:
         if abs(k_raw) > CONSTRAINT_NEGLIGIBLE:
@@ -256,9 +257,12 @@ def make_constrained_variation(
             )
         corrected = dz
     else:
-        corrected = dz.with_bump(-k_raw / denom, fixer)
+        coeff = -k_raw / denom
+        corrected = dz.with_bump(coeff, fixer)
+        # corrected.deriv(x) bit for bit: BumpSum sums in order, fixer last.
+        dzp = dzp + coeff * fp
 
-    k_final = float(np.dot(wts, yp * corrected.deriv(x) + zp * dy.deriv(x)))
+    k_final = float(np.dot(wts, yp * dzp + zp * dyp))
     return VariationField(dy, corrected, k_final)
 
 

@@ -188,6 +188,71 @@ class TestVariation:
             "result                 PASS\n"
         )
 
+    # Exact stdout of closed forms in each family.  At alpha 0, y' and z' are
+    # constant, so the fixer bump's denominator vanishes and delta_z keeps
+    # its three random bumps.
+    @pytest.mark.parametrize(
+        "argv, code, lines",
+        [
+            (
+                ("--alpha", "1", "--c", "1.3", "--v", "0.8", "--d1", "0.4"),
+                0,
+                [
+                    "seed 0: dE = 2.3987973066241786e-18 + -7.5352050987742558e-18 eps",
+                    "seed 1: dE = 2.2768245622195593e-18 + -6.5865281978494394e-18 eps",
+                    "seed 2: dE = 2.4936649967166602e-18 + 1.7381116077658243e-18 eps",
+                    "max_abs_re             2.4936649967166602e-18",
+                    "max_abs_du             7.5352050987742558e-18",
+                    "tolerance              1.0000000000000001e-05",
+                    "result                 PASS",
+                ],
+            ),
+            (
+                ("--alpha", "0", "--c", "1.5", "--m", "4", "--d1", "0.3"),
+                0,
+                [
+                    "seed 0: dE = -8.8904578143811364e-18 + -2.4959832793305997e-19 eps",
+                    "seed 1: dE = -1.5178830414797062e-18 + -1.9295140969740607e-19 eps",
+                    "seed 2: dE = -3.0899761915836876e-18 + -3.2983789437628449e-19 eps",
+                    "max_abs_re             8.8904578143811364e-18",
+                    "max_abs_du             3.2983789437628449e-19",
+                    "tolerance              1.0000000000000001e-05",
+                    "result                 PASS",
+                ],
+            ),
+            (
+                ("--alpha", "-1", "--v", "0.3", "--d1", "0.2"),
+                0,
+                [
+                    "seed 0: dE = -1.6439215440311461e-16 + -8.5513884927161665e-14 eps",
+                    "seed 1: dE = 3.4203868036486451e-14 + -6.4773517495855804e-14 eps",
+                    "seed 2: dE = 3.8945192556982811e-14 + 1.604548742137335e-14 eps",
+                    "max_abs_re             3.8945192556982811e-14",
+                    "max_abs_du             8.5513884927161665e-14",
+                    "tolerance              1.0000000000000001e-05",
+                    "result                 PASS",
+                ],
+            ),
+            (
+                ("--alpha", "1", "--perturb", "0.1"),
+                1,
+                [
+                    "seed 0: dE = -0.0026442512698280993 + 0.049352617972705952 eps",
+                    "seed 1: dE = 0.0041756263831119458 + 0.05183130978298138 eps",
+                    "seed 2: dE = 0.0014697939123277594 + -0.05025927409885312 eps",
+                    "max_abs_re             0.0041756263831119458",
+                    "max_abs_du             0.05183130978298138",
+                    "tolerance              1.0000000000000001e-05",
+                    "result                 FAIL",
+                ],
+            ),
+        ],
+        ids=["alpha1", "alpha0", "alpha-1", "perturbed"],
+    )
+    def test_pinned_output(self, capsys, argv, code, lines):
+        got, out, err = run_cli(capsys, "variation", *argv, "--count", "3")
+        assert (got, out, err) == (code, "\n".join(lines) + "\n", "")
+
     def test_panels_reach_the_library(self, capsys):
         argv = ("variation", "--alpha", "1", "--perturb", "0.1", "--count", "1")
         _, out, _ = run_cli(capsys, *argv, "--panels", "8")

@@ -278,6 +278,35 @@ class TestArcLengthTable:
         assert np.all(np.isin(cv.y.grid, cv._arclength_table.edges))
 
 
+# Intervals no longer than the merge tolerance, or with breakpoints closer
+# than it to an end or to each other.
+SHORT_DOMAINS = [
+    (0.0, 1.9e-98, ()),  # shorter than the merge tolerance
+    (0.0, 1e-13, (5e-14,)),
+    (-1.0, 1.0, (0.5, 1.0 - 1e-13)),  # a breakpoint next to b
+    (-1.0, 1.0, (-1.0 + 1e-13, 0.5, 0.5 + 1e-13)),
+]
+
+
+def per_piece_partition(a, b, breakpoints, panels, order=quadrature.GL_ORDER):
+    """The composite rule built one piece at a time with np.linspace: the
+    reference that the vectorized ``partitioned_nodes`` must match bit for bit."""
+    span = b - a
+    tol = 1e-12 * max(1.0, span)
+    pts = np.unique(np.asarray([p for p in breakpoints if a + tol < p < b - tol], dtype=float))
+    edges = np.concatenate(([a], pts[np.diff(pts, prepend=a) > tol], [b]))
+    t, w = np.polynomial.legendre.leggauss(order)
+    nodes, weights = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        n = max(1, int(np.ceil(panels * (hi - lo) / span)))
+        panel_edges = np.linspace(float(lo), float(hi), n + 1)
+        half = 0.5 * np.diff(panel_edges)
+        mid = 0.5 * (panel_edges[:-1] + panel_edges[1:])
+        nodes.append((mid[:, None] + half[:, None] * t[None, :]).ravel())
+        weights.append((half[:, None] * w[None, :]).ravel())
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
 class TestRule:
     def test_cached_rule_is_read_only(self):
         t, w = quadrature.gauss_legendre_rule(quadrature.GL_ORDER)
@@ -294,18 +323,10 @@ class TestRule:
         mid = 0.5 * (edges[:-1] + edges[1:])
         want_x = (mid[:, None] + half[:, None] * t[None, :]).ravel()
         want_w = (half[:, None] * w[None, :]).ravel()
-        got_x, got_w = quadrature.gauss_legendre_nodes(-0.3, 1.7, 12, order)
+        got_x, got_w = quadrature.partitioned_nodes(-0.3, 1.7, (), 12, order)
         assert np.array_equal(got_x, want_x) and np.array_equal(got_w, want_w)
 
-    @pytest.mark.parametrize(
-        "a, b, breaks",
-        [
-            (0.0, 1.9e-98, ()),  # shorter than the merge tolerance
-            (0.0, 1e-13, (5e-14,)),
-            (-1.0, 1.0, (0.5, 1.0 - 1e-13)),  # a breakpoint next to b
-            (-1.0, 1.0, (-1.0 + 1e-13, 0.5, 0.5 + 1e-13)),
-        ],
-    )
+    @pytest.mark.parametrize("a, b, breaks", SHORT_DOMAINS)
     def test_partition_always_spans_the_interval(self, a, b, breaks):
         x, w = quadrature.partitioned_nodes(a, b, breaks, 8)
         assert a < x.min() and x.max() < b
@@ -313,6 +334,32 @@ class TestRule:
 
     def test_partition_keeps_separated_breakpoints(self):
         x, w = quadrature.partitioned_nodes(-1.0, 1.0, (0.25, -0.5, 2.0), 8)
-        pieces = [quadrature.gauss_legendre_nodes(lo, hi, n) for lo, hi, n in ((-1.0, -0.5, 2), (-0.5, 0.25, 3), (0.25, 1.0, 3))]
+        pieces = [quadrature.partitioned_nodes(lo, hi, (), n) for lo, hi, n in ((-1.0, -0.5, 2), (-0.5, 0.25, 3), (0.25, 1.0, 3))]
         assert np.array_equal(x, np.concatenate([p[0] for p in pieces]))
         assert np.array_equal(w, np.concatenate([p[1] for p in pieces]))
+
+    @pytest.mark.parametrize("a, b, breaks", SHORT_DOMAINS)
+    @pytest.mark.parametrize("panels", [1, 8, 64, 100])
+    def test_partition_matches_per_piece_loop_on_short_domains(self, a, b, breaks, panels):
+        got = quadrature.partitioned_nodes(a, b, breaks, panels)
+        want = per_piece_partition(a, b, breaks, panels)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_partition_matches_per_piece_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            a = rng.uniform(-3.0, 1.0)
+            span = 10.0 ** rng.uniform(-3.0, 1.5)
+            b = a + span
+            # Breakpoints inside and outside [a, b], at its ends, repeated,
+            # and closer to a neighbour or an end than the merge tolerance.
+            pts = list(rng.uniform(a - 0.3 * span, b + 0.3 * span, rng.integers(0, 16)))
+            if pts:
+                pts += [pts[0], pts[-1] + 1e-13 * max(1.0, span) * rng.uniform(0.0, 2.0)]
+            pts += [a, b, a + 1e-13 * span, b - 1e-13 * span]
+            panels = int(rng.integers(1, 101))
+            order = int(rng.choice([1, 3, 5, 8]))
+            got = quadrature.partitioned_nodes(a, b, pts, panels, order)
+            want = per_piece_partition(a, b, pts, panels, order)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

@@ -232,6 +232,31 @@ class TestVariations:
                 var = make_constrained_variation(cv, seed)
                 assert abs(var.constraint) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "cv",
+        [
+            catenary_alpha1(CatenaryParams(alpha=1.0, c=1.7, v=0.9, d1=0.4, d2=-0.8)),
+            catenary_alpha_minus1(CatenaryParams(alpha=-1.0, R=2.0, m=0.2, v=0.6, d1=-0.9, d2=0.5)),
+            perturbed_curve(
+                catenary_alpha1(CatenaryParams(alpha=1.0, d1=0.3)),
+                BumpSum((Bump(0.0, 0.6),), (1.0,)), BumpSum((Bump(0.2, 0.5),), (0.4,)), 0.1,
+            ),
+        ],
+        ids=["alpha1", "alpha-1", "perturbed"],
+    )
+    def test_constraint_is_read_from_the_returned_field(self, cv):
+        # The recorded constraint reuses the slopes drawn for the correction;
+        # it must equal, to the bit, the rule applied to the returned field's
+        # own slopes on the same nodes.
+        a, b = cv.domain
+        for seed in range(6):
+            var = make_constrained_variation(cv, seed)
+            dy, dz = var.delta_y, var.delta_z
+            assert len(dz.bumps) == len(dy.bumps) + 1  # the fixer joined
+            x, wts = partitioned_nodes(a, b, dy.edges() + dz.edges())
+            yp, zp = np.asarray(cv.y.deriv(x), float), np.asarray(cv.z.deriv(x), float)
+            assert var.constraint == float(np.dot(wts, yp * dz.deriv(x) + zp * dy.deriv(x)))
+
     def test_degenerate_seed_rejected(self):
         # y' even and z' = 0 make the fixer integral vanish while the raw
         # constraint does not: no single-bump correction can absorb it.
