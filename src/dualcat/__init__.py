@@ -17,30 +17,12 @@ from .closed_forms import (
 from .curves import (
     ClosedForm,
     Coordinate,
-    CurvatureSample,
     Frame,
     GraphCurve,
     Numeric,
     SampledCoordinate,
 )
-from .dual import (
-    ARCSIN,
-    COSH,
-    EXP,
-    SECH,
-    SINH,
-    SQRT,
-    TANH,
-    DirectionSpec,
-    DualScalar,
-    DualVec2,
-    SmoothFn,
-    compose,
-    dual_dot,
-    dual_norm,
-    lift,
-    pow_alpha,
-)
+from .dual import DirectionSpec, DualScalar, DualVec2, dual_dot, dual_norm
 from .errors import (
     DegenerateVariation,
     DomainError,

@@ -118,12 +118,6 @@ class Frame:
     nu: float  # Euclidean speed sqrt(1 + y'(x)**2)
 
 
-@dataclass(frozen=True)
-class CurvatureSample:
-    x: float
-    kappa: DualScalar
-
-
 class GraphCurve:
     """Graph curve ``(x, y(x)) + eps*(w(x), z(x))`` on a closed interval."""
 
@@ -197,7 +191,7 @@ class GraphCurve:
         N = DualVec2(n_re, (-zp * t_re[0], -zp * t_re[1]))
         return Frame(T, N, nu)
 
-    def curvature(self, x) -> CurvatureSample:
+    def curvature(self, x) -> DualScalar:
         """Signed curvature ``y''/nu**3 + eps*z''/nu`` for an admissible curve."""
         self._check(x)
         yp = _dedim(self.y.deriv(x))
@@ -205,8 +199,7 @@ class GraphCurve:
         zpp = _dedim(self.z.deriv2(x))
         nu = _dedim(np.hypot(1.0, yp))
         # np.power, not the float operator: points and grids round alike.
-        kappa = DualScalar(ypp / _dedim(np.power(nu, 3)), zpp / nu)
-        return CurvatureSample(_dedim(np.asarray(x, dtype=float)), kappa)
+        return DualScalar(ypp / _dedim(np.power(nu, 3)), zpp / nu)
 
     def characterization_residual(self, alpha: float, u: DirectionSpec, x) -> DualScalar:
         """Residual of the curvature identity ``kappa = alpha*<N,u>/<gamma,u>``.
@@ -216,7 +209,7 @@ class GraphCurve:
         ZeroRealPart when the height ``y(x)`` is zero, or so small (about
         1e-150) that its square underflows.
         """
-        kappa = self.curvature(x).kappa
+        kappa = self.curvature(x)
         num = dual_dot(self.frame(x).N, u.vector)
         return kappa - float(alpha) * (num / self.height(u, x))
 

@@ -2,9 +2,9 @@
 
 A dual number is ``a + b*eps`` with ``eps**2 = 0``.  The algebra keeps first
 derivative information exactly: multiplying two dual numbers applies the
-product rule to the eps parts, and lifting a smooth real function through
-``lift`` applies the chain rule.  Vectors over the dual numbers carry a plane
-curve together with its first-order deformation field.
+product rule to the eps parts, and a real power applies the chain rule.
+Vectors over the dual numbers carry a plane curve together with its
+first-order deformation field.
 
 The parts of ``DualScalar`` and ``DualVec2`` are floats or NumPy arrays of one
 shape; on arrays every operation acts elementwise, so one identity evaluates
@@ -13,9 +13,7 @@ at a point or on a whole grid.  Float inputs give float results.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -99,88 +97,6 @@ def _coerce(value: "DualScalar | float") -> DualScalar:
     if isinstance(value, DualScalar):
         return value
     return DualScalar(value if isinstance(value, np.ndarray) else float(value), 0.0)
-
-
-@dataclass(frozen=True)
-class SmoothFn:
-    """Real function bundled with its analytic first derivative."""
-
-    name: str
-    f: Callable[[float], float]
-    df: Callable[[float], float]
-
-
-def lift(fn: SmoothFn, x: DualScalar) -> DualScalar:
-    """Apply ``fn`` to a dual number: ``f(a + b*eps) = f(a) + b*f'(a)*eps``."""
-    return DualScalar(fn.f(x.re), x.du * fn.df(x.re))
-
-
-def compose(outer: SmoothFn, inner: SmoothFn) -> SmoothFn:
-    """Composite ``outer(inner(x))`` with the chain-rule derivative."""
-    return SmoothFn(
-        f"{outer.name}_of_{inner.name}",
-        lambda x: outer.f(inner.f(x)),
-        lambda x: outer.df(inner.f(x)) * inner.df(x),
-    )
-
-
-def _sqrt(x: float) -> float:
-    if x <= 0.0:
-        raise DomainError(f"sqrt needs a positive argument, got {x}")
-    return math.sqrt(x)
-
-
-def _sqrt_d(x: float) -> float:
-    return 0.5 / _sqrt(x)
-
-
-def _arcsin(x: float) -> float:
-    if abs(x) >= 1.0:
-        raise DomainError(f"arcsin needs |x| < 1, got {x}")
-    return math.asin(x)
-
-
-def _arcsin_d(x: float) -> float:
-    if abs(x) >= 1.0:
-        raise DomainError(f"arcsin needs |x| < 1, got {x}")
-    return 1.0 / math.sqrt(1.0 - x * x)
-
-
-COSH = SmoothFn("cosh", math.cosh, math.sinh)
-SINH = SmoothFn("sinh", math.sinh, math.cosh)
-TANH = SmoothFn("tanh", math.tanh, lambda x: 1.0 / math.cosh(x) ** 2)
-SECH = SmoothFn("sech", lambda x: 1.0 / math.cosh(x), lambda x: -math.tanh(x) / math.cosh(x))
-EXP = SmoothFn("exp", math.exp, math.exp)
-SQRT = SmoothFn("sqrt", _sqrt, _sqrt_d)
-ARCSIN = SmoothFn("arcsin", _arcsin, _arcsin_d)
-
-
-def pow_alpha(alpha: float) -> SmoothFn:
-    """Power function ``x**alpha`` with derivative ``alpha*x**(alpha-1)``.
-
-    Non-integer exponents require a strictly positive argument; negative
-    integer exponents reject zero.
-    """
-    alpha = float(alpha)
-    integer = alpha.is_integer()
-
-    def check(x: float) -> None:
-        if not integer and x <= 0.0:
-            raise DomainError(f"x**{alpha:g} needs x > 0, got {x}")
-        if integer and alpha < 0.0 and x == 0.0:
-            raise DomainError(f"x**{alpha:g} undefined at 0")
-
-    def f(x: float) -> float:
-        check(x)
-        return x**alpha
-
-    def df(x: float) -> float:
-        check(x)
-        if alpha == 0.0:
-            return 0.0
-        return alpha * x ** (alpha - 1.0)
-
-    return SmoothFn(f"pow[{alpha:g}]", f, df)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ import numpy as np
 from .curves import GraphCurve, Numeric, SampledCoordinate
 from .errors import ImmediateSingularity, InvalidParams, NumericalFailure
 from .quadrature import cell_integrals
-from .spline import HermiteSpline
 
 # Default RK4 step.
 STEP = 1e-3
@@ -99,19 +98,15 @@ def _march(alpha: float, v: float, x0: float, start: tuple, h: float, nsteps: in
     return samples, False
 
 
-def recover_w(
-    grid: np.ndarray, yp: np.ndarray, ypp: np.ndarray, zp: np.ndarray, zpp: np.ndarray, w0: float, anchor: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """w, w' and w'' on the grid from ``w' = -y'*z'`` and ``w(grid[anchor]) = w0``.
+def recover_w(y: SampledCoordinate, z: SampledCoordinate, w0: float, anchor: int) -> np.ndarray:
+    """w on y's grid from ``w' = -y'*z'`` and ``w(grid[anchor]) = w0``.
 
     Each cell integral uses Gauss-Legendre quadrature of the spline
     interpolants of y' and z', cumulatively summed from the left endpoint.
     """
-    yp_of = HermiteSpline(grid, yp, ypp)
-    zp_of = HermiteSpline(grid, zp, zpp)
-    cells = cell_integrals(lambda x: -(yp_of(x) * zp_of(x)), grid)
+    cells = cell_integrals(lambda x: -(y.deriv(x) * z.deriv(x)), y.grid)
     cum = np.concatenate(([0.0], np.cumsum(cells)))
-    return (w0 - cum[anchor]) + cum, -(yp * zp), -(ypp * zp + yp * zpp)
+    return (w0 - cum[anchor]) + cum
 
 
 def solve_curve(
@@ -137,6 +132,9 @@ def solve_curve(
         raise InvalidParams(f"step {step:g} needs more than {MAX_STEPS} steps across length {b - a:g}")
     if not (init.y0 > 0.0 and np.isfinite(init.y0)):
         raise InvalidParams(f"y0 must be positive, got {init.y0}")
+    for name in ("x0", "yp0", "z0", "zp0", "w0"):
+        if not np.isfinite(getattr(init, name)):
+            raise InvalidParams(f"{name} must be finite, got {getattr(init, name)}")
     if not (a - 1e-12 <= init.x0 <= b + 1e-12):
         raise InvalidParams(f"x0 = {init.x0} outside the requested domain")
 
@@ -162,12 +160,14 @@ def solve_curve(
         bad = grid[~finite]
         raise NumericalFailure(f"dual solution is not finite from x = {bad[np.argmin(np.abs(bad - init.x0))]:g}")
 
+    y_of = SampledCoordinate(grid, y, yp, ypp)
+    z_of = SampledCoordinate(grid, z, zp, zpp)
     # The anchor x0 is the last node of the backward march.
-    w = recover_w(grid, yp, ypp, zp, zpp, init.w0, len(left) - 1)
+    w = recover_w(y_of, z_of, init.w0, len(left) - 1)
     return GraphCurve(
         (float(grid[0]), float(grid[-1])),
-        SampledCoordinate(grid, y, yp, ypp),
-        SampledCoordinate(grid, *w),
-        SampledCoordinate(grid, z, zp, zpp),
+        y_of,
+        SampledCoordinate(grid, w, -(yp * zp), -(ypp * zp + yp * zpp)),
+        z_of,
         Numeric(grid, trunc_l or trunc_r),
     )

@@ -372,7 +372,7 @@ def residual_report(
     xs = np.linspace(a, b, num) if grid is None else np.asarray(grid, dtype=float)
     y = _heights(curve, xs)
     c_used = resolve_c(curve, alpha, float(xs[len(xs) // 2])) if c is None else float(c)
-    kappa = curve.curvature(xs).kappa
+    kappa = curve.curvature(xs)
     char = curve.characterization_residual(alpha, u, xs)
     admis = curve.admissibility_residual(xs)
 

@@ -19,20 +19,16 @@ from dualcat import (
     DirectionSpec,
     DualScalar,
     dual_norm,
-    EXP,
     GraphCurve,
     InitialData,
-    SINH,
     catenary_alpha0,
     catenary_alpha1,
     catenary_alpha_minus1,
     closed_form,
-    compose,
     energy,
     first_integral_residual,
     first_variation,
     infer_c,
-    lift,
     make_constrained_variation,
     multiplier_residual,
     perturbed_curve,
@@ -40,6 +36,7 @@ from dualcat import (
     reversed_catenary,
     solve_curve,
 )
+from lifted import EXP, SINH, compose, lift
 
 RNG_SEED = 20260816
 CURVES_PER_FAMILY = 100

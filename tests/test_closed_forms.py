@@ -115,7 +115,7 @@ class TestAlphaMinus1:
         cv = catenary_alpha_minus1(CatenaryParams(alpha=-1.0, R=1.0))
         assert cv.y.value(0.0) == 1.0
         assert cv.y.value(0.6) == pytest.approx(0.8, rel=1e-15)
-        assert cv.curvature(0.0).kappa.re == -1.0
+        assert cv.curvature(0.0).re == -1.0
 
     def test_rotation_pair_from_d1(self):
         # d1 = 1, v = 0: z = t, w = -y
@@ -203,7 +203,7 @@ class TestReversed:
         xs = np.linspace(*rev.domain, 101)
         assert np.max(np.abs(rev.admissibility_residual(xs))) == 0.0
         for x in xs[::10]:
-            assert rev.curvature(float(x)).kappa.du == 0.0
+            assert rev.curvature(float(x)).du == 0.0
 
     def test_solves_dual_equation_for_any_exponent(self):
         base = catenary_alpha1(CatenaryParams(alpha=1.0))

@@ -8,7 +8,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import CubicHermiteSpline
 
-from dualcat import solver
+from dualcat import quadrature, solver
+from dualcat.spline import HermiteSpline
 
 from dualcat import (
     DirectionSpec,
@@ -16,6 +17,7 @@ from dualcat import (
     InitialData,
     InvalidParams,
     NumericalFailure,
+    SampledCoordinate,
     residual_report,
     solve_curve,
 )
@@ -94,6 +96,15 @@ SPLINE_MARCH_CASES = [
     (1.5, 0.4, InitialData(-0.2, 0.9, 0.05, z0=-0.2, zp0=0.2)),
 ]
 
+# The README alpha 0.5 solve, a w0 off zero, an off-centre anchor, and a
+# truncated solve.
+W_REBUILD_CASES = [
+    (0.5, InitialData(0.0, 1.0, 0.0, z0=0.2, zp0=0.1), (-0.75, 0.75), 0.3),
+    (1.0, InitialData(0.0, 1.0, 0.0, z0=1.0, w0=0.4), (-1.0, 1.0), 0.0),
+    (1.5, InitialData(0.1, 1.0, 0.0), (-2.0, 2.0), 0.0),
+    (3.0, COSH_INIT, (-2.0, 2.0), 0.0),
+]
+
 
 class TestRealSolve:
     def test_reproduces_catenary(self):
@@ -150,6 +161,13 @@ class TestRealSolve:
             solve_curve(1.0, COSH_INIT, (-1.0, 1.0), step=0.0)
         with pytest.raises(InvalidParams):
             solve_curve(1.0, InitialData(5.0, 1.0, 0.0), (-1.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["x0", "yp0", "z0", "zp0", "w0"])
+    def test_non_finite_initial_data_rejected(self, field, bad):
+        init = dataclasses.replace(COSH_INIT, **{field: bad})
+        with pytest.raises(InvalidParams, match=f"{field} must be finite"):
+            solve_curve(1.0, init, (-1.0, 1.0))
 
     def test_step_count_capped_before_marching(self, monkeypatch):
         def no_march(*args):
@@ -216,6 +234,30 @@ class TestDualSolveAndRecovery:
         for x in np.linspace(*curve.domain, 13):
             want = init.w0 + quad(w_prime, init.x0, x, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
             assert abs(curve.w.value(x) - want) <= 1e-12
+
+    @pytest.mark.parametrize("alpha, init, domain, v", W_REBUILD_CASES)
+    def test_w_matches_separately_built_splines(self, monkeypatch, alpha, init, domain, v):
+        # w from the y and z coordinates' own derivative splines equals w from
+        # two fresh splines of (y', y'') and (z', z''), bit for bit.
+        samples = []
+
+        class Recording(SampledCoordinate):
+            def __init__(self, grid, vals, d1, d2):
+                samples.append((vals, d1, d2))
+                super().__init__(grid, vals, d1, d2)
+
+        monkeypatch.setattr(solver, "SampledCoordinate", Recording)
+        curve = solve_curve(alpha, init, domain, v=v)
+        grid = curve.source.grid
+        # solve_curve builds y, then z, then w.
+        (_, yp, ypp), (_, zp, zpp) = samples[:2]
+        yp_of, zp_of = HermiteSpline(grid, yp, ypp), HermiteSpline(grid, zp, zpp)
+        cum = np.concatenate(([0.0], np.cumsum(quadrature.cell_integrals(lambda x: -(yp_of(x) * zp_of(x)), grid))))
+        anchor = int(np.flatnonzero(grid == init.x0)[0])
+        want = SampledCoordinate(grid, (init.w0 - cum[anchor]) + cum, -(yp * zp), -(ypp * zp + yp * zpp))
+        for xs in (grid, np.random.default_rng(0).uniform(*curve.domain, 501)):
+            for got, ref in zip(nodes(curve.w, xs), nodes(want, xs)):
+                assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("yp0", [0.0, 0.5])
     @pytest.mark.parametrize("alpha", [-0.5, 0.5, 2.0, 3.0])

@@ -354,7 +354,7 @@ class TestReport:
         u = DirectionSpec(0.4)
         rep = residual_report(cv, -1.0, u, num=11)
         for i, x in enumerate(rep.grid):
-            k = cv.curvature(float(x)).kappa
+            k = cv.curvature(float(x))
             r = cv.characterization_residual(-1.0, u, float(x))
             assert rep.columns["kappa_re"][i] == k.re
             assert rep.columns["kappa_du"][i] == k.du
