@@ -19,10 +19,11 @@ import sys
 
 import numpy as np
 
-from .closed_forms import CatenaryParams, closed_form
+from .closed_forms import DEFAULT_DOMAIN, FAMILIES, CatenaryParams, closed_form
 from .curves import GraphCurve
 from .dual import DirectionSpec
 from .errors import DegenerateVariation, DualcatError, ImmediateSingularity, NumericalFailure
+from .quadrature import PANELS
 from .solver import STEP, InitialData, solve_curve
 from .variational import (
     Bump,
@@ -47,7 +48,7 @@ VARIATION_TOL = 1e-5
 VARIATION_RETRIES = 5
 
 # Smallest accepted value of each integer flag.
-INT_MINIMUM = {"samples": 2, "panels": 1, "count": 1}
+INT_MINIMUM = {"samples": 2, "panels": 1, "count": 1, "seed": 0}
 
 
 class UsageError(DualcatError):
@@ -141,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--z0", type=float, default=0.0)
     common.add_argument("--zp0", type=float, default=0.0)
     common.add_argument("--w0", type=float, default=0.0)
-    common.add_argument("--panels", type=int, default=64)
+    common.add_argument("--panels", type=int, default=PANELS)
 
     parser = argparse.ArgumentParser(prog="dualcat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -182,13 +183,13 @@ def _build_curve(args, family_alpha: float) -> tuple[GraphCurve, bool]:
     domain = _parse_domain(args.domain) if args.domain is not None else None
 
     if args.solve:
-        lo, hi = domain if domain is not None else (-1.0, 1.0)
+        lo, hi = domain if domain is not None else DEFAULT_DOMAIN
         x0 = 0.0 if lo <= 0.0 <= hi else 0.5 * (lo + hi)
         init = InitialData(x0, args.y0, args.yp0, args.z0, args.zp0, args.w0)
         curve = solve_curve(family_alpha, init, (lo, hi), args.v, step=args.step)
         return curve, curve.source.truncated
 
-    if family_alpha not in (-1.0, 0.0, 1.0):
+    if family_alpha not in FAMILIES:
         raise UsageError(
             f"exponent {family_alpha:g} has no closed form; pass --solve to integrate numerically"
         )
@@ -196,18 +197,14 @@ def _build_curve(args, family_alpha: float) -> tuple[GraphCurve, bool]:
         alpha=family_alpha, c=args.c, m=args.m, R=args.R, v=args.v,
         d1=args.d1, d2=args.d2, d3=args.d3, branch=args.branch,
     )
-    if domain is None and family_alpha != -1.0:
-        domain = (-1.0, 1.0)
     return closed_form(params, domain), False
 
 
 def _report(curve: GraphCurve, args):
-    a, b = curve.domain
-    xs = np.linspace(a, b, args.samples)
     # Overflow leaves inf or NaN in the columns, and np.max carries NaN into
     # the maxima that verify gates, so NumPy's warnings would add only noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        return residual_report(curve, args.alpha, DirectionSpec(args.v), grid=xs)
+        return residual_report(curve, args.alpha, DirectionSpec(args.v), num=args.samples)
 
 
 def _summary(curve: GraphCurve, report, truncated: bool) -> dict:

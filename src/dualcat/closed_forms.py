@@ -9,13 +9,15 @@ checks see only rounding noise.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import ClosedForm, Coordinate, GraphCurve
 from .errors import DomainError, InvalidParams
+
+# Domain of the exponent-1 and exponent-0 families, and of a CLI solve, when none is given.
+DEFAULT_DOMAIN = (-1.0, 1.0)
 
 # Fraction of R clipped off each end of the maximal interval when alpha = -1.
 RIM_CLIP = 1e-3
@@ -48,8 +50,8 @@ class CatenaryParams:
     branch: str = "plus"
 
 
-def catenary_alpha1(p: CatenaryParams, domain: tuple[float, float] = (-1.0, 1.0)) -> GraphCurve:
-    """Curve ``y = cosh(c*x + m)/c`` with the matching eps part.
+def catenary_alpha1(p: CatenaryParams, domain: tuple[float, float] | None = None) -> GraphCurve:
+    """Curve ``y = cosh(c*x + m)/c`` with the matching eps part, on DEFAULT_DOMAIN if none is given.
 
     The eps component is ``z = -v*x + d1*sech + d2*tanh`` with w integrated
     from the admissibility constraint in closed form.
@@ -99,8 +101,8 @@ def catenary_alpha1(p: CatenaryParams, domain: tuple[float, float] = (-1.0, 1.0)
         th = np.tanh(t)
         return v * c * np.cosh(t) + (c * c) * (2.0 * d1 * th * sech * sech - d2 * sech * (sech * sech - th * th))
 
-    tag = ClosedForm(dataclasses.replace(p, alpha=1.0))
-    curve = GraphCurve(domain, y, Coordinate(w_val, w_d1, w_d2), Coordinate(z_val, z_d1, z_d2), tag)
+    domain = DEFAULT_DOMAIN if domain is None else domain
+    curve = GraphCurve(domain, y, Coordinate(w_val, w_d1, w_d2), Coordinate(z_val, z_d1, z_d2), ClosedForm(1.0, c))
     # cosh peaks at an end of the (validated) domain; y and y'' scale it by
     # 1/c and c.  Rejected here, before any formula overflows.
     with np.errstate(over="ignore"):
@@ -113,8 +115,8 @@ def catenary_alpha1(p: CatenaryParams, domain: tuple[float, float] = (-1.0, 1.0)
     return curve
 
 
-def catenary_alpha0(p: CatenaryParams, domain: tuple[float, float] = (-1.0, 1.0)) -> GraphCurve:
-    """Line ``y = +-sqrt(c**2 - 1)*x + m`` with slope sign picked by branch."""
+def catenary_alpha0(p: CatenaryParams, domain: tuple[float, float] | None = None) -> GraphCurve:
+    """Line ``y = +-sqrt(c**2 - 1)*x + m``, slope sign by branch, on DEFAULT_DOMAIN if none is given."""
     if not (p.c >= 1.0 and np.isfinite(p.c)):
         raise InvalidParams(f"c must be at least 1 for a real slope, got {p.c}")
     _check_square("c", p.c)
@@ -125,13 +127,10 @@ def catenary_alpha0(p: CatenaryParams, domain: tuple[float, float] = (-1.0, 1.0)
     y = Coordinate.linear(k, p.m)
     z = Coordinate.linear(p.d1, p.d2)
     w = Coordinate.linear(-k * p.d1, p.d3)
-    tag = ClosedForm(dataclasses.replace(p, alpha=0.0))
-    return GraphCurve(domain, y, w, z, tag)
+    return GraphCurve(DEFAULT_DOMAIN if domain is None else domain, y, w, z, ClosedForm(0.0, p.c))
 
 
-def catenary_alpha_minus1(
-    p: CatenaryParams, domain: tuple[float, float] | None = None
-) -> GraphCurve:
+def catenary_alpha_minus1(p: CatenaryParams, domain: tuple[float, float] | None = None) -> GraphCurve:
     """Upper half circle ``y = sqrt(R**2 - (x-m)**2)`` with the matching eps part.
 
     The maximal parameter interval is open at ``m - R`` and ``m + R`` where the
@@ -192,25 +191,24 @@ def catenary_alpha_minus1(
         ypp = -(R * R) / yv**3
         return ypp * (v - d1 - d2 * np.arcsin(t / R)) - d2 * (-t / yv) / yv
 
-    tag = ClosedForm(dataclasses.replace(p, alpha=-1.0))
     return GraphCurve(
         domain,
         Coordinate(y_val, y_d1, y_d2),
         Coordinate(w_val, w_d1, w_d2),
         Coordinate(z_val, z_d1, z_d2),
-        tag,
+        ClosedForm(-1.0, R),
     )
 
 
+# The exponents with a closed form, each with its constructor.
+FAMILIES = {1.0: catenary_alpha1, 0.0: catenary_alpha0, -1.0: catenary_alpha_minus1}
+
+
 def closed_form(p: CatenaryParams, domain: tuple[float, float] | None = None) -> GraphCurve:
-    """Dispatch on the exponent; only -1, 0 and 1 have closed forms."""
-    if p.alpha == 1.0:
-        return catenary_alpha1(p, domain if domain is not None else (-1.0, 1.0))
-    if p.alpha == 0.0:
-        return catenary_alpha0(p, domain if domain is not None else (-1.0, 1.0))
-    if p.alpha == -1.0:
-        return catenary_alpha_minus1(p, domain)
-    raise InvalidParams(f"no closed form for exponent {p.alpha}")
+    """Dispatch on the exponent through FAMILIES; None picks the family's own domain."""
+    if p.alpha not in FAMILIES:
+        raise InvalidParams(f"no closed form for exponent {p.alpha}")
+    return FAMILIES[p.alpha](p, domain)
 
 
 def reversed_catenary(
@@ -218,13 +216,14 @@ def reversed_catenary(
     y: Coordinate,
     v: float,
     domain: tuple[float, float],
-    params: CatenaryParams | None = None,
+    c: float | None = None,
 ) -> GraphCurve:
     """Rotation deformation ``(x, y) + eps*(v*y, -v*x)`` of a stationary graph.
 
     For any exponent the eps part solves the linearized equation for the
     direction ``(0, 1) + eps*(v, 0)``, and the eps part of the curvature
-    vanishes identically because ``z'' = 0``.
+    vanishes identically because ``z'' = 0``.  Given the first-integral
+    constant c of y, the curve is tagged ``ClosedForm(alpha, c)``.
     """
     v = float(v)
     w = Coordinate(
@@ -233,5 +232,4 @@ def reversed_catenary(
         lambda x: v * y.deriv2(x),
     )
     z = Coordinate.linear(-v, 0.0)
-    tag = ClosedForm(params) if params is not None else None
-    return GraphCurve(domain, y, w, z, tag)
+    return GraphCurve(domain, y, w, z, None if c is None else ClosedForm(alpha, c))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -19,9 +19,6 @@ from . import quadrature
 from .dual import DirectionSpec, DualScalar, DualVec2, _dedim, dual_dot
 from .errors import InvalidParams, NumericalFailure, OutOfDomain
 from .spline import HermiteSpline
-
-if TYPE_CHECKING:
-    from .closed_forms import CatenaryParams
 
 # Absolute slack when checking that a point lies inside a curve's interval.
 DOMAIN_SLACK = 1e-12
@@ -96,16 +93,18 @@ class SampledCoordinate(Coordinate):
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """Source tag for curves built from an explicit parametric family."""
+    """Source tag for curves built from an explicit family: its exponent and
+    its first-integral constant c (the radius R for the exponent -1 arc)."""
 
-    params: "CatenaryParams"
+    alpha: float
+    c: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Numeric:
-    """Source tag for curves assembled from an ODE solve; ``truncated`` if a guard cut it short."""
+    """Source tag for curves assembled from an ODE solve (whose grid is ``y.grid``);
+    ``truncated`` if a guard or a partial last step left the domain short."""
 
-    grid: np.ndarray
     truncated: bool = False
 
 

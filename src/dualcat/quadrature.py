@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -22,25 +22,19 @@ TABLE_MAX_HALVINGS = 40
 ROUNDING = 64.0 * np.finfo(float).eps
 
 
-@lru_cache(maxsize=None)
-def gauss_legendre_rule(order: int = GL_ORDER) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the ``order``-point rule on [-1, 1], built once per order.
+@cache
+def gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the GL_ORDER-point rule on [-1, 1], built once.
 
     The arrays are shared between callers and therefore read-only.
     """
-    t, w = np.polynomial.legendre.leggauss(order)
+    t, w = np.polynomial.legendre.leggauss(GL_ORDER)
     t.setflags(write=False)
     w.setflags(write=False)
     return t, w
 
 
-def partitioned_nodes(
-    a: float,
-    b: float,
-    breakpoints,
-    panels: int = PANELS,
-    order: int = GL_ORDER,
-) -> tuple[np.ndarray, np.ndarray]:
+def partitioned_nodes(a: float, b: float, breakpoints, panels: int = PANELS) -> tuple[np.ndarray, np.ndarray]:
     """Composite rule whose panel edges include the given breakpoints.
 
     Piecewise-smooth integrands (bump test functions, say) lose orders of
@@ -65,7 +59,7 @@ def partitioned_nodes(
     left = k * step + start
     right = (k + 1) * step + start
     right[ends - 1] = hi
-    t, w = gauss_legendre_rule(order)
+    t, w = gauss_legendre_rule()
     half = 0.5 * (right - left)
     mid = 0.5 * (left + right)
     nodes = (mid[:, None] + half[:, None] * t[None, :]).ravel()
@@ -73,9 +67,9 @@ def partitioned_nodes(
     return nodes, weights
 
 
-def _segment_integrals(f, lo: np.ndarray, hi: np.ndarray, order: int = GL_ORDER) -> np.ndarray:
+def _segment_integrals(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Integral of ``f`` over each segment [lo[k], hi[k]]."""
-    t, w = gauss_legendre_rule(order)
+    t, w = gauss_legendre_rule()
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
     nodes = mid[:, None] + half[:, None] * t[None, :]
@@ -83,12 +77,10 @@ def _segment_integrals(f, lo: np.ndarray, hi: np.ndarray, order: int = GL_ORDER)
     return half * (vals @ w)
 
 
-def cell_integrals(
-    f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray, order: int = GL_ORDER
-) -> np.ndarray:
+def cell_integrals(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> np.ndarray:
     """Integral of ``f`` over each cell [edges[k], edges[k+1]]."""
     edges = np.asarray(edges, dtype=float)
-    return _segment_integrals(f, edges[:-1], edges[1:], order)
+    return _segment_integrals(f, edges[:-1], edges[1:])
 
 
 class CumulativeIntegral:
@@ -136,7 +128,7 @@ class CumulativeIntegral:
         self.sums = np.concatenate(([0.0], np.cumsum(np.concatenate(parts)[order])))
         # The rule on [0, 1], with x's own offset appended so partial() gets
         # f(x) from the same call.
-        t, w = gauss_legendre_rule(GL_ORDER)
+        t, w = gauss_legendre_rule()
         self._unit_nodes = np.append(0.5 * (t + 1.0), 1.0)
         self._unit_weights = 0.5 * w[:, None]
 

@@ -122,6 +122,8 @@ def solve_curve(
     A guard that stops a march shrinks the curve's domain and marks its
     Numeric tag truncated; one that stops it within MIN_STEPS raises
     ImmediateSingularity, and a z or z' that overflows raises NumericalFailure.
+    A domain that is not a whole number of steps from x0 is also marked
+    truncated: its end nodes fall short of the requested ends.
     """
     a, b = float(domain[0]), float(domain[1])
     if not (a < b and np.isfinite(a) and np.isfinite(b)):
@@ -164,10 +166,12 @@ def solve_curve(
     z_of = SampledCoordinate(grid, z, zp, zpp)
     # The anchor x0 is the last node of the backward march.
     w = recover_w(y_of, z_of, init.w0, len(left) - 1)
+    lo, hi = float(grid[0]), float(grid[-1])
+    short = lo - a > 1e-6 * step or b - hi > 1e-6 * step
     return GraphCurve(
-        (float(grid[0]), float(grid[-1])),
+        (lo, hi),
         y_of,
         SampledCoordinate(grid, w, -(yp * zp), -(ypp * zp + yp * zpp)),
         z_of,
-        Numeric(grid, trunc_l or trunc_r),
+        Numeric(trunc_l or trunc_r or short),
     )

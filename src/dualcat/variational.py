@@ -24,6 +24,9 @@ from .errors import DegenerateVariation, DomainError, InvalidParams, NumericalFa
 # error on the bump tails stays far below the stationarity tolerances.
 VARIATION_AMP = 0.05
 
+# Random bumps drawn for each component of a seeded variation.
+RANDOM_BUMPS = 3
+
 # Thresholds for the solvability of the one-dimensional constraint correction.
 FIXER_DENOM_MIN = 1e-10
 CONSTRAINT_NEGLIGIBLE = 1e-12
@@ -212,11 +215,11 @@ class VariationField:
     constraint: float
 
 
-def _random_bumps(rng: np.random.Generator, a: float, b: float, count: int = 3) -> BumpSum:
+def _random_bumps(rng: np.random.Generator, a: float, b: float) -> BumpSum:
     span = b - a
     bumps = []
     coeffs = []
-    for _ in range(count):
+    for _ in range(RANDOM_BUMPS):
         radius = span * rng.uniform(0.08, 0.20)
         lo = a + radius + 0.02 * span
         hi = b - radius - 0.02 * span
@@ -230,8 +233,8 @@ def make_constrained_variation(
 ) -> VariationField:
     """Seeded random variation satisfying the admissibility constraint.
 
-    Three bumps are drawn for each component; a fixed central bump added to
-    delta_z absorbs the constraint integral.  When the correction is unsolvable
+    RANDOM_BUMPS bumps are drawn for each component; a fixed central bump
+    added to delta_z absorbs the constraint integral.  When the correction is unsolvable
     (its denominator vanishes while the constraint does not) the seed is
     rejected with DegenerateVariation.
     """
@@ -350,28 +353,19 @@ class ResidualReport:
 
 
 def resolve_c(curve: GraphCurve, alpha: float, x0: float) -> float:
-    """First-integral constant: from closed-form parameters when they match
-    the requested exponent, otherwise read off the curve at x0."""
-    if isinstance(curve.source, ClosedForm) and curve.source.params is not None:
-        p = curve.source.params
-        if p.alpha == alpha:
-            return p.R if alpha == -1.0 else p.c
+    """First-integral constant: the closed form's own when its exponent is
+    the requested one, otherwise read off the curve at x0."""
+    if isinstance(curve.source, ClosedForm) and curve.source.alpha == alpha:
+        return curve.source.c
     return infer_c(curve, alpha, x0)
 
 
-def residual_report(
-    curve: GraphCurve,
-    alpha: float,
-    u: DirectionSpec,
-    c: float | None = None,
-    num: int = 201,
-    grid: np.ndarray | None = None,
-) -> ResidualReport:
-    """Evaluate all pointwise residuals on a uniform (or given) grid."""
+def residual_report(curve: GraphCurve, alpha: float, u: DirectionSpec, num: int = 201) -> ResidualReport:
+    """Evaluate all pointwise residuals on ``num`` evenly spaced points of the domain."""
     a, b = curve.domain
-    xs = np.linspace(a, b, num) if grid is None else np.asarray(grid, dtype=float)
+    xs = np.linspace(a, b, num)
     y = _heights(curve, xs)
-    c_used = resolve_c(curve, alpha, float(xs[len(xs) // 2])) if c is None else float(c)
+    c_used = resolve_c(curve, alpha, float(xs[len(xs) // 2]))
     kappa = curve.curvature(xs)
     char = curve.characterization_residual(alpha, u, xs)
     admis = curve.admissibility_residual(xs)

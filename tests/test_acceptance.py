@@ -120,7 +120,7 @@ def test_criterion_2_curvature_characterization(announce):
 def test_criterion_3_reversed_curvature_is_real(announce):
     worst = 0.0
     for alpha, params, curve, _ in family_sweep():
-        rev = reversed_catenary(alpha, curve.y, params.v, curve.domain, params=params)
+        rev = reversed_catenary(alpha, curve.y, params.v, curve.domain, c=curve.source.c)
         report = residual_report(rev, alpha, DirectionSpec(params.v), num=201)
         worst = max(worst, float(np.max(np.abs(report.columns["kappa_du"]))))
     ok = worst <= 1e-12
@@ -134,14 +134,14 @@ def test_criterion_4_solver_fidelity(announce):
     # y does not depend on the dual data, so this solve also checks y = cosh.
     init = InitialData(0.0, 1.0, 0.0, z0=1.0, zp0=0.0, w0=0.0)
     curve = solve_curve(1.0, init, (-1.0, 1.0))
-    g = curve.source.grid
+    g = curve.y.grid
     err_y = float(np.max(np.abs(curve.y.value(g) - np.cosh(g))))
     err_z = float(np.max(np.abs(curve.z.value(g) - 1.0 / np.cosh(g))))
     err_w = float(np.max(np.abs(curve.w.value(g) - (g - np.tanh(g)))))
 
     def sup_err(step):
         s = solve_curve(1.0, InitialData(0.0, 1.0, 0.0), (-1.0, 1.0), step=step)
-        g = s.source.grid
+        g = s.y.grid
         return float(np.max(np.abs(s.y.value(g) - np.cosh(g))))
 
     ratio = sup_err(0.04) / sup_err(0.02)
@@ -168,7 +168,7 @@ def test_criterion_5_general_exponent_conservation(announce):
             curve = solve_curve(alpha, InitialData(0.0, 1.0, yp0), (-hw, hw))
             a, b = curve.domain
             assert b - a >= 2.0 * hw - 1e-9, f"alpha={alpha}, yp0={yp0} truncated to ({a}, {b})"
-            grid = curve.source.grid
+            grid = curve.y.grid
             c = infer_c(curve, alpha, 0.0)
             worst = max(worst, float(np.max(np.abs(first_integral_residual(curve, alpha, c, grid)))))
     ok = worst <= 1e-7

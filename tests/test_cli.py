@@ -96,6 +96,69 @@ def test_every_command_exits_3_on_truncation(capsys, argv):
     assert "truncated" in err
 
 
+def test_leftover_domain_exits_3(capsys):
+    # Three steps of 0.3 from x = 0 reach +-0.9, not the requested +-1.
+    argv = ("--alpha", "1", "--solve", "--domain", "-1:1", "--step", "0.3")
+    warning = "warning: solve truncated, achieved domain [-0.89999999999999991, 0.89999999999999991]\n"
+    code, out, err = run_cli(capsys, "energy", *argv)
+    assert (code, err) == (3, warning)
+    assert out.startswith("e0 = 2.3710234860783999\n")
+    code, out, err = run_cli(capsys, "generate", *argv, "--samples", "3")
+    assert (code, err) == (3, warning)
+    assert json.loads(out)["summary"]["truncated"] is True
+
+
+TRUNCATED_AT_3 = "warning: solve truncated, achieved domain [-0.70100000000000007, 0.70100000000000007]\n"
+
+
+class TestSolvePinned:
+    """Exact output of --solve commands: the README solve and a truncated one."""
+
+    def test_readme_verify(self, capsys):
+        got = run_cli(
+            capsys, "verify", "--alpha", "0.5", "--solve", "--domain", "-0.75:0.75",
+            "--z0", "0.2", "--zp0", "0.1", "--v", "0.3",
+        )
+        assert got == (
+            0,
+            "admissibility          2.4901955497647066e-15\n"
+            "el_real                5.0515147620444623e-15\n"
+            "el_dual                1.154545209436364e-14\n"
+            "first_integral         6.6613381477509392e-16\n"
+            "characterization_re    4.9404924595819466e-15\n"
+            "characterization_du    1.1185496973098452e-14\n"
+            "inferred_c             1\n"
+            "tolerance              9.9999999999999995e-07\n"
+            "result                 PASS\n",
+            "",
+        )
+
+    def test_truncated_energy(self, capsys):
+        got = run_cli(capsys, "energy", "--alpha", "3", "--solve", "--domain", "-2:2")
+        assert got == (
+            3,
+            "e0 = 454013.5739314314\ne1 = 0\ntotal = 454013.5739314314 + 0 eps\n",
+            TRUNCATED_AT_3,
+        )
+
+    def test_truncated_generate_summary(self, capsys):
+        code, out, err = run_cli(
+            capsys, "generate", "--alpha", "3", "--solve", "--domain", "-2:2", "--samples", "3"
+        )
+        assert (code, err) == (3, TRUNCATED_AT_3)
+        assert json.loads(out)["summary"] == {
+            "inferred_c": 1.0,
+            "achieved_domain": [-0.7010000000000001, 0.7010000000000001],
+            "truncated": True,
+            "admissibility_max": 0.0,
+            "el_real_max": 2.0816681711721685e-17,
+            "el_dual_max": 0.0,
+            "first_integral_max": 3046222574.6209373,
+            "characterization_re_max": 2.117582368135751e-22,
+            "characterization_du_max": 0.0,
+        }
+
+
 class TestVerify:
     def test_readme_example(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--alpha", "1", "--c", "2", "--v", "1.1", "--d1", "-0.6")
@@ -309,6 +372,7 @@ class TestErrors:
             # the inferred first-integral constant leaves the float range
             ("verify", "--alpha", "-1", "--curve-alpha", "0", "--m", "1e-200", "--samples", "3"),
             ("verify", "--alpha", "1", "--v", "-inf"),  # a separate negative value reaches _validate
+            ("variation", "--alpha", "1", "--seed", "-1", "--count", "1"),  # NumPy seeds are non-negative
         ],
     )
     def test_usage_errors_exit_2(self, capsys, argv):
@@ -440,8 +504,7 @@ def test_csv_row_format_on_random_bit_patterns():
 
 def _reference_csv(curve, alpha, v, samples):
     """The CSV table written value by value with format(v, ".17g")."""
-    a, b = curve.domain
-    report = dualcat.residual_report(curve, alpha, dualcat.DirectionSpec(v), grid=np.linspace(a, b, samples))
+    report = dualcat.residual_report(curve, alpha, dualcat.DirectionSpec(v), num=samples)
     lines = [",".join(CSV_COLUMNS)]
     for i in range(len(report.grid)):
         lines.append(",".join(format(float(report.columns[name][i]), ".17g") for name in CSV_COLUMNS))

@@ -22,6 +22,7 @@ from dualcat import (
     residual_report,
     reversed_catenary,
 )
+from dualcat.closed_forms import FAMILIES
 
 GRID = np.linspace(-1.0, 1.0, 201)
 
@@ -166,10 +167,18 @@ class TestDispatchAndResiduals:
             closed_form(CatenaryParams(alpha=2.0))
 
     def test_source_tag(self):
-        p = CatenaryParams(alpha=1.0, c=2.0, d1=0.5)
-        cv = catenary_alpha1(p)
-        assert isinstance(cv.source, ClosedForm)
-        assert cv.source.params.c == 2.0
+        # The tag holds the exponent and the first-integral constant: R for the arc.
+        assert catenary_alpha1(CatenaryParams(alpha=1.0, c=2.0, d1=0.5)).source == ClosedForm(1.0, 2.0)
+        assert catenary_alpha0(CatenaryParams(alpha=0.0, c=1.5, m=3.0)).source == ClosedForm(0.0, 1.5)
+        assert catenary_alpha_minus1(CatenaryParams(alpha=-1.0, c=3.0, R=2.0)).source == ClosedForm(-1.0, 2.0)
+        # The family constructor decides the tag, whatever exponent the params carry.
+        assert catenary_alpha1(CatenaryParams(alpha=7.0)).source == ClosedForm(1.0, 1.0)
+
+    def test_families_pick_their_own_domain(self):
+        assert FAMILIES == {1.0: catenary_alpha1, 0.0: catenary_alpha0, -1.0: catenary_alpha_minus1}
+        assert closed_form(CatenaryParams(alpha=1.0)).domain == (-1.0, 1.0)
+        assert closed_form(CatenaryParams(alpha=0.0, m=3.0)).domain == (-1.0, 1.0)
+        assert closed_form(CatenaryParams(alpha=-1.0, R=2.0)).domain == (-1.998, 1.998)
 
     @pytest.mark.parametrize(
         "params,domain",
@@ -199,7 +208,8 @@ class TestReversed:
 
     def test_admissible_and_purely_real_curvature(self):
         base = catenary_alpha_minus1(CatenaryParams(alpha=-1.0, R=1.5))
-        rev = reversed_catenary(-1.0, base.y, 0.8, base.domain, base.source.params)
+        rev = reversed_catenary(-1.0, base.y, 0.8, base.domain, c=base.source.c)
+        assert rev.source == ClosedForm(-1.0, 1.5)
         xs = np.linspace(*rev.domain, 101)
         assert np.max(np.abs(rev.admissibility_residual(xs))) == 0.0
         for x in xs[::10]:

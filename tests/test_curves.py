@@ -288,14 +288,14 @@ SHORT_DOMAINS = [
 ]
 
 
-def per_piece_partition(a, b, breakpoints, panels, order=quadrature.GL_ORDER):
+def per_piece_partition(a, b, breakpoints, panels):
     """The composite rule built one piece at a time with np.linspace: the
     reference that the vectorized ``partitioned_nodes`` must match bit for bit."""
     span = b - a
     tol = 1e-12 * max(1.0, span)
     pts = np.unique(np.asarray([p for p in breakpoints if a + tol < p < b - tol], dtype=float))
     edges = np.concatenate(([a], pts[np.diff(pts, prepend=a) > tol], [b]))
-    t, w = np.polynomial.legendre.leggauss(order)
+    t, w = np.polynomial.legendre.leggauss(quadrature.GL_ORDER)
     nodes, weights = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         n = max(1, int(np.ceil(panels * (hi - lo) / span)))
@@ -309,21 +309,20 @@ def per_piece_partition(a, b, breakpoints, panels, order=quadrature.GL_ORDER):
 
 class TestRule:
     def test_cached_rule_is_read_only(self):
-        t, w = quadrature.gauss_legendre_rule(quadrature.GL_ORDER)
-        assert quadrature.gauss_legendre_rule(quadrature.GL_ORDER)[0] is t
+        t, w = quadrature.gauss_legendre_rule()
+        assert quadrature.gauss_legendre_rule()[0] is t
         for arr in (t, w):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
-    @pytest.mark.parametrize("order", [1, 3, 5, 8])
-    def test_nodes_match_fresh_build(self, order):
-        t, w = np.polynomial.legendre.leggauss(order)
+    def test_nodes_match_fresh_build(self):
+        t, w = np.polynomial.legendre.leggauss(quadrature.GL_ORDER)
         edges = np.linspace(-0.3, 1.7, 13)
         half = 0.5 * np.diff(edges)
         mid = 0.5 * (edges[:-1] + edges[1:])
         want_x = (mid[:, None] + half[:, None] * t[None, :]).ravel()
         want_w = (half[:, None] * w[None, :]).ravel()
-        got_x, got_w = quadrature.partitioned_nodes(-0.3, 1.7, (), 12, order)
+        got_x, got_w = quadrature.partitioned_nodes(-0.3, 1.7, (), 12)
         assert np.array_equal(got_x, want_x) and np.array_equal(got_w, want_w)
 
     @pytest.mark.parametrize("a, b, breaks", SHORT_DOMAINS)
@@ -359,7 +358,6 @@ class TestRule:
                 pts += [pts[0], pts[-1] + 1e-13 * max(1.0, span) * rng.uniform(0.0, 2.0)]
             pts += [a, b, a + 1e-13 * span, b - 1e-13 * span]
             panels = int(rng.integers(1, 101))
-            order = int(rng.choice([1, 3, 5, 8]))
-            got = quadrature.partitioned_nodes(a, b, pts, panels, order)
-            want = per_piece_partition(a, b, pts, panels, order)
+            got = quadrature.partitioned_nodes(a, b, pts, panels)
+            want = per_piece_partition(a, b, pts, panels)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

@@ -17,6 +17,7 @@ from dualcat import (
     InitialData,
     InvalidParams,
     NumericalFailure,
+    Numeric,
     SampledCoordinate,
     residual_report,
     solve_curve,
@@ -32,7 +33,7 @@ def nodes(coord, grid):
 
 def y_nodes(curve):
     """The solve's grid and y on it."""
-    grid = curve.source.grid
+    grid = curve.y.grid
     return grid, curve.y.value(grid)
 
 
@@ -115,9 +116,9 @@ class TestRealSolve:
 
     def test_line_is_exact(self):
         cv = solve_curve(0.0, InitialData(0.0, 3.0, 1.0), (-1.0, 1.0))
-        y, yp, ypp = nodes(cv.y, cv.source.grid)
+        y, yp, ypp = nodes(cv.y, cv.y.grid)
         # only accumulation roundoff: the right-hand side is identically zero
-        assert np.max(np.abs(y - (cv.source.grid + 3.0))) <= 1e-12
+        assert np.max(np.abs(y - (cv.y.grid + 3.0))) <= 1e-12
         assert np.max(np.abs(yp - 1.0)) == 0.0
         assert np.max(np.abs(ypp)) == 0.0
 
@@ -144,7 +145,7 @@ class TestRealSolve:
 
     def test_truncates_near_blowup(self):
         cv = solve_curve(3.0, COSH_INIT, (-1.0, 1.0))
-        grid = cv.source.grid
+        grid = cv.y.grid
         assert cv.source.truncated
         assert grid[0] > -1.0 and grid[-1] < 1.0
         # symmetric data truncate symmetrically
@@ -183,7 +184,7 @@ class TestDualSolveAndRecovery:
         # alpha = 1 with z(0) = 1, z'(0) = 0 picks out z = sech, w = x - tanh
         init = InitialData(0.0, 1.0, 0.0, z0=1.0, zp0=0.0, w0=0.0)
         cv = solve_curve(1.0, init, (-1.0, 1.0))
-        g = cv.source.grid
+        g = cv.y.grid
         assert np.max(np.abs(cv.z.value(g) - 1.0 / np.cosh(g))) <= 1e-7
         assert np.max(np.abs(cv.w.value(g) - (g - np.tanh(g)))) <= 1e-7
 
@@ -191,14 +192,14 @@ class TestDualSolveAndRecovery:
         # v = 1 with z' = -1 keeps z linear and w tracks v*y exactly
         init = InitialData(0.0, 1.0, 0.0, z0=0.0, zp0=-1.0, w0=1.0)
         cv = solve_curve(1.0, init, (-1.0, 1.0), v=1.0)
-        g = cv.source.grid
+        g = cv.y.grid
         assert np.max(np.abs(cv.z.value(g) + g)) <= 1e-10
         assert np.max(np.abs(cv.w.value(g) - np.cosh(g))) <= 1e-8
 
     def test_line_deformation_exact(self):
         init = InitialData(0.0, 3.0, 1.0, z0=0.5, zp0=2.0, w0=0.0)
         cv = solve_curve(0.0, init, (-1.0, 1.0))
-        g = cv.source.grid
+        g = cv.y.grid
         assert np.max(np.abs(cv.z.value(g) - (0.5 + 2.0 * g))) <= 1e-12
         assert np.max(np.abs(cv.w.value(g) + 2.0 * g)) <= 1e-12
 
@@ -212,7 +213,7 @@ class TestDualSolveAndRecovery:
         # The name predates the stacked march: z, z' and z'' stay within
         # 1e-12 of the superseded scalar spline march along the same y.
         curve = solve_curve(alpha, init, (-0.75, 0.75), v=v)
-        grid = curve.source.grid
+        grid = curve.y.grid
         ref = reference_solve_dual(alpha, v, grid, *nodes(curve.y, grid), init)
         for got, want in zip(nodes(curve.z, grid), ref):
             assert np.max(np.abs(got - want)) <= 1e-12
@@ -226,7 +227,7 @@ class TestDualSolveAndRecovery:
         # between knots is the integral of -y'*z' from the anchor.
         curve = solve_curve(alpha, init, (-0.75, 0.75), v=v)
         assert abs(curve.w.value(init.x0) - init.w0) <= 1e-15
-        assert np.max(np.abs(curve.admissibility_residual(curve.source.grid))) == 0.0
+        assert np.max(np.abs(curve.admissibility_residual(curve.y.grid))) == 0.0
 
         def w_prime(x):
             return -curve.y.deriv(x) * curve.z.deriv(x)
@@ -248,7 +249,7 @@ class TestDualSolveAndRecovery:
 
         monkeypatch.setattr(solver, "SampledCoordinate", Recording)
         curve = solve_curve(alpha, init, domain, v=v)
-        grid = curve.source.grid
+        grid = curve.y.grid
         # solve_curve builds y, then z, then w.
         (_, yp, ypp), (_, zp, zpp) = samples[:2]
         yp_of, zp_of = HermiteSpline(grid, yp, ypp), HermiteSpline(grid, zp, zpp)
@@ -266,7 +267,7 @@ class TestDualSolveAndRecovery:
         # homogeneous dual equation at every exponent.
         def sup_err(step):
             curve = solve_translation(alpha, yp0, step)
-            grid = curve.source.grid
+            grid = curve.y.grid
             yp = curve.y.deriv(grid)
             return np.max(np.abs(curve.z.value(grid) - yp / np.hypot(1.0, yp)))
 
@@ -283,7 +284,7 @@ class TestDualSolveAndRecovery:
         cv_a = solve_curve(alpha, InitialData(0.0, 1.0, yp0, z0=1.0, zp0=0.0), (-hw, hw))
         cv_b = solve_curve(alpha, InitialData(0.0, 1.0, yp0, z0=0.0, zp0=1.0), (-hw, hw))
         assert not cv_a.source.truncated
-        grid = cv_a.source.grid
+        grid = cv_a.y.grid
         za, zpa, _ = nodes(cv_a.z, grid)
         zb, zpb, _ = nodes(cv_b.z, grid)
         wronskian = (za * zpb - zpa * zb) * cv_a.y.value(grid) ** alpha
@@ -307,9 +308,24 @@ class TestSolveCurve:
         cv = solve_curve(3.0, InitialData(0.0, 1.0, 0.0), (-1.0, 1.0))
         a, b = cv.domain
         assert -1.0 < a < 0.0 < b < 1.0
-        assert isinstance(cv.source.grid, np.ndarray)
+        assert isinstance(cv.y.grid, np.ndarray)
 
     def test_coarse_step_grid(self):
         cv = solve_curve(1.0, COSH_INIT, (-1.0, 1.0), step=0.3)
         a, b = cv.domain
         assert a == pytest.approx(-0.9) and b == pytest.approx(0.9)
+        # Each march stops 0.1 short of its end: the leftover is marked.
+        assert cv.source.truncated is True
+
+    @pytest.mark.parametrize("domain, x0, truncated", [
+        ((-1.0, 1.0), 0.0, False),  # four steps each way
+        ((-1.0, 1.1), 0.0, True),  # 0.1 short on the right only
+        ((-1.05, 1.0), 0.0, True),  # 0.05 short on the left only
+        ((-0.8, 1.2), 0.2, False),  # whole steps from an off-centre x0
+        ((-1.0, 1.0 - 0.25 * 1e-7), 0.0, False),  # within 1e-6 steps of a whole count
+    ])
+    def test_leftover_domain_marks_truncation(self, domain, x0, truncated):
+        init = InitialData(x0, math.cosh(x0), math.sinh(x0))
+        cv = solve_curve(1.0, init, domain, step=0.25)
+        assert cv.source.truncated is truncated
+        assert cv.source == Numeric(truncated)

@@ -143,6 +143,8 @@ class TestResiduals:
         assert np.max(np.abs(first_integral_residual(cv, 1.0, 1.0, xs))) < 1e-14
         doubled = catenary_alpha1(CatenaryParams(alpha=1.0, c=2.0))
         assert infer_c(doubled, 1.0, 0.0) == pytest.approx(2.0, rel=1e-15)
+        # the wrong constant leaves the first integral far from zero
+        assert np.max(np.abs(first_integral_residual(doubled, 1.0, 1.0, xs))) > 0.1
         with pytest.raises(InvalidParams):
             first_integral_residual(cv, 1.0, 0.0, 0.0)
 
@@ -361,9 +363,3 @@ class TestReport:
             assert rep.columns["char_res_re"][i] == r.re
             assert rep.columns["char_res_du"][i] == r.du
             assert rep.columns["admis_res"][i] == cv.admissibility_residual(float(x))
-
-    def test_explicit_c_override(self):
-        cv = catenary_alpha1(CatenaryParams(alpha=1.0, c=2.0))
-        rep = residual_report(cv, 1.0, VERTICAL, c=1.0)
-        assert rep.c_used == 1.0
-        assert rep.max_abs["first_integral"] > 0.1
