@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .closed_forms import DEFAULT_DOMAIN, FAMILIES, CatenaryParams, closed_form
-from .curves import GraphCurve
+from .curves import GraphCurve, Numeric
 from .dual import DirectionSpec
 from .errors import DegenerateVariation, DualcatError, ImmediateSingularity, NumericalFailure
 from .quadrature import PANELS
@@ -78,16 +78,27 @@ def _validate(args) -> None:
     for name, low in INT_MINIMUM.items():
         if getattr(args, name, low) < low:
             raise UsageError(f"--{name} must be at least {low}")
+    if args.tol is not None and args.tol < 0.0:
+        raise UsageError(f"--tol must not be negative, got {args.tol}")
 
 
-def _status(values, tol: float) -> str:
-    """PASS only when every value is finite and at most tol."""
-    return "PASS" if all(math.isfinite(v) and v <= tol for v in values) else "FAIL"
+def _gate(values: dict, tol: float, **shown: float) -> int:
+    """Print values, shown and tol as rows; PASS and 0 when every value is finite and <= tol, else FAIL and 1."""
+    for name, val in {**values, **shown, "tolerance": tol}.items():
+        print(f"{name:<22} {_g17(val)}")
+    passed = all(math.isfinite(v) and v <= tol for v in values.values())
+    print(f"{'result':<22} {'PASS' if passed else 'FAIL'}")
+    return 0 if passed else 1
 
 
-def _exit_code(curve: GraphCurve, truncated: bool, code: int) -> int:
+def _truncated(curve: GraphCurve) -> bool:
+    """Whether the curve is a solve whose domain fell short of the request."""
+    return isinstance(curve.source, Numeric) and curve.source.truncated
+
+
+def _exit_code(curve: GraphCurve, code: int) -> int:
     """3 with a warning on stderr when the solve truncated its domain, else code."""
-    if truncated:
+    if _truncated(curve):
         a, b = curve.domain
         print(f"warning: solve truncated, achieved domain [{_g17(a)}, {_g17(b)}]", file=sys.stderr)
         return 3
@@ -130,7 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--d2", type=float, default=0.0)
     common.add_argument("--d3", type=float, default=0.0)
     common.add_argument("--branch", choices=("plus", "minus"), default="plus")
-    common.add_argument("--domain", default=None, help="interval lo:hi (default -1:1)")
+    common.add_argument(
+        "--domain", default=None,
+        help="interval lo:hi (default -1:1; at alpha -1 without --solve, the arc clipped by RIM_CLIP)",
+    )
     common.add_argument("--samples", type=int, default=201)
     common.add_argument("--format", choices=("csv", "json"), default="json")
     common.add_argument("--tol", type=float, default=None)
@@ -178,16 +192,15 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _build_curve(args, family_alpha: float) -> tuple[GraphCurve, bool]:
-    """Curve from flags; returns it with a truncation flag for solver paths."""
+def _build_curve(args, family_alpha: float) -> GraphCurve:
+    """Curve from flags: a solve with --solve, else the closed form."""
     domain = _parse_domain(args.domain) if args.domain is not None else None
 
     if args.solve:
         lo, hi = domain if domain is not None else DEFAULT_DOMAIN
         x0 = 0.0 if lo <= 0.0 <= hi else 0.5 * (lo + hi)
         init = InitialData(x0, args.y0, args.yp0, args.z0, args.zp0, args.w0)
-        curve = solve_curve(family_alpha, init, (lo, hi), args.v, step=args.step)
-        return curve, curve.source.truncated
+        return solve_curve(family_alpha, init, (lo, hi), args.v, step=args.step)
 
     if family_alpha not in FAMILIES:
         raise UsageError(
@@ -197,29 +210,22 @@ def _build_curve(args, family_alpha: float) -> tuple[GraphCurve, bool]:
         alpha=family_alpha, c=args.c, m=args.m, R=args.R, v=args.v,
         d1=args.d1, d2=args.d2, d3=args.d3, branch=args.branch,
     )
-    return closed_form(params, domain), False
+    return closed_form(params, domain)
 
 
-def _report(curve: GraphCurve, args):
-    # Overflow leaves inf or NaN in the columns, and np.max carries NaN into
-    # the maxima that verify gates, so NumPy's warnings would add only noise.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return residual_report(curve, args.alpha, DirectionSpec(args.v), num=args.samples)
-
-
-def _summary(curve: GraphCurve, report, truncated: bool) -> dict:
+def _summary(curve: GraphCurve, report) -> dict:
     a, b = curve.domain
     return {
         "inferred_c": report.c_used,
         "achieved_domain": [a, b],
-        "truncated": truncated,
+        "truncated": _truncated(curve),
         **{f"{name}_max": val for name, val in report.max_abs.items()},
     }
 
 
 def cmd_generate(args) -> int:
-    curve, truncated = _build_curve(args, args.alpha)
-    report = _report(curve, args)
+    curve = _build_curve(args, args.alpha)
+    report = residual_report(curve, args.alpha, DirectionSpec(args.v), num=args.samples)
     cols = report.columns
 
     if args.format == "csv":
@@ -237,76 +243,62 @@ def cmd_generate(args) -> int:
                 {name: float(cols[name][i]) for name in CSV_COLUMNS}
                 for i in range(len(report.grid))
             ],
-            "summary": _summary(curve, report, truncated),
+            "summary": _summary(curve, report),
         }
         print(json.dumps(payload, indent=2))
-    return _exit_code(curve, truncated, 0)
+    return _exit_code(curve, 0)
 
 
 def cmd_verify(args) -> int:
     family_alpha = args.curve_alpha if args.curve_alpha is not None else args.alpha
-    curve, truncated = _build_curve(args, family_alpha)
-    report = _report(curve, args)
+    curve = _build_curve(args, family_alpha)
+    report = residual_report(curve, args.alpha, DirectionSpec(args.v), num=args.samples)
     tol = args.tol if args.tol is not None else (NUMERIC_TOL if args.solve else CLOSED_TOL)
-
-    for name, val in report.max_abs.items():
-        print(f"{name:<22} {_g17(val)}")
-    print(f"{'inferred_c':<22} {_g17(report.c_used)}")
-    print(f"{'tolerance':<22} {_g17(tol)}")
-    status = _status(report.max_abs.values(), tol)
-    print(f"{'result':<22} {status}")
-    return _exit_code(curve, truncated, 0 if status == "PASS" else 1)
+    return _exit_code(curve, _gate(report.max_abs, tol, inferred_c=report.c_used))
 
 
 def cmd_energy(args) -> int:
-    curve, truncated = _build_curve(args, args.alpha)
-    # Overflow leaves inf or NaN in the energy, which the check below rejects.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ev = energy(curve, DirectionSpec(args.v), args.alpha, panels=args.panels)
+    curve = _build_curve(args, args.alpha)
+    ev = energy(curve, DirectionSpec(args.v), args.alpha, panels=args.panels)
+    # Overflow leaves inf or NaN in the energy, which this check rejects.
     if not all(map(math.isfinite, (ev.e0, ev.e1, ev.total.re, ev.total.du))):
         raise NumericalFailure(f"energy overflows: e0 = {ev.e0:g}, e1 = {ev.e1:g}")
     print(f"e0 = {_g17(ev.e0)}")
     print(f"e1 = {_g17(ev.e1)}")
     print(f"total = {_g17(ev.total.re)} + {_g17(ev.total.du)} eps")
-    return _exit_code(curve, truncated, 0)
+    return _exit_code(curve, 0)
 
 
 def cmd_variation(args) -> int:
-    curve, truncated = _build_curve(args, args.alpha)
+    curve = _build_curve(args, args.alpha)
+    tested = curve
     if args.perturb != 0.0:
-        a, b = curve.domain
-        bump = BumpSum((Bump(0.5 * (a + b), 0.3 * (b - a)),), (1.0,))
-        curve = perturbed_curve(curve, bump, BumpSum((), ()), args.perturb)
+        bump = BumpSum((Bump.central(*curve.domain),), (1.0,))
+        tested = perturbed_curve(curve, bump, BumpSum((), ()), args.perturb)
 
     u = DirectionSpec(args.v)
     tol = args.tol if args.tol is not None else VARIATION_TOL
     abs_re, abs_du = [], []
     # On a very short domain the slopes of the --perturb bump overflow: dE is
     # then inf or NaN, and the gate below fails it.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i in range(args.count):
-            var = None
-            for attempt in range(VARIATION_RETRIES):
-                try:
-                    var = make_constrained_variation(curve, args.seed + i + 7919 * attempt, args.panels)
-                    break
-                except DegenerateVariation:
-                    continue
-            if var is None:
-                raise DegenerateVariation(f"no usable variation for seed {args.seed + i}")
-            fv = first_variation(curve, var, u, args.alpha, args.panels)
-            abs_re.append(abs(fv.re))
-            abs_du.append(abs(fv.du))
-            print(f"seed {args.seed + i}: dE = {_g17(fv.re)} + {_g17(fv.du)} eps")
+    for i in range(args.count):
+        var = None
+        for attempt in range(VARIATION_RETRIES):
+            try:
+                var = make_constrained_variation(tested, args.seed + i + 7919 * attempt, args.panels)
+                break
+            except DegenerateVariation:
+                continue
+        if var is None:
+            raise DegenerateVariation(f"no usable variation for seed {args.seed + i}")
+        fv = first_variation(tested, var, u, args.alpha, args.panels)
+        abs_re.append(abs(fv.re))
+        abs_du.append(abs(fv.du))
+        print(f"seed {args.seed + i}: dE = {_g17(fv.re)} + {_g17(fv.du)} eps")
 
     # np.max propagates NaN where the builtin max would skip it.
-    worst_re, worst_du = float(np.max(abs_re)), float(np.max(abs_du))
-    print(f"{'max_abs_re':<22} {_g17(worst_re)}")
-    print(f"{'max_abs_du':<22} {_g17(worst_du)}")
-    print(f"{'tolerance':<22} {_g17(tol)}")
-    status = _status((worst_re, worst_du), tol)
-    print(f"{'result':<22} {status}")
-    return _exit_code(curve, truncated, 0 if status == "PASS" else 1)
+    worst = {"max_abs_re": float(np.max(abs_re)), "max_abs_du": float(np.max(abs_du))}
+    return _exit_code(curve, _gate(worst, tol))
 
 
 def main(argv=None) -> int:
@@ -314,7 +306,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(_join_negative_values(argv))
     try:
         _validate(args)
-        return args.func(args)
+        # Overflow reaches the output and the gates as inf or NaN, which they
+        # report or reject, so NumPy's warnings would add only noise.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except ImmediateSingularity as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

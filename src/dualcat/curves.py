@@ -44,24 +44,15 @@ def _const(c: float) -> Callable:
 class Coordinate:
     """Scalar function of x with analytic first and second derivatives.
 
-    The three callables must accept floats and numpy arrays elementwise.
+    The callables ``value``, ``deriv`` and ``deriv2`` accept floats and numpy arrays elementwise.
     """
 
-    __slots__ = ("_f", "_d1", "_d2")
+    __slots__ = ("value", "deriv", "deriv2")
 
     def __init__(self, f: Callable, d1: Callable, d2: Callable):
-        self._f = f
-        self._d1 = d1
-        self._d2 = d2
-
-    def value(self, x):
-        return self._f(x)
-
-    def deriv(self, x):
-        return self._d1(x)
-
-    def deriv2(self, x):
-        return self._d2(x)
+        self.value = f
+        self.deriv = d1
+        self.deriv2 = d2
 
     @staticmethod
     def constant(c: float) -> "Coordinate":

@@ -33,6 +33,9 @@ MAX_STEPS = 10**6
 Y_MIN = 1e-6
 SLOPE_MAX = 1e8
 
+# Fraction of a step by which a domain may miss a whole step count and still count as whole.
+STEP_SLACK = 1e-6
+
 
 @dataclass(frozen=True)
 class InitialData:
@@ -53,35 +56,36 @@ class _GuardHit(Exception):
 def _steps(length: float, h: float) -> int:
     n = length / h
     r = round(n)
-    if abs(n - r) < 1e-6:
+    if abs(n - r) < STEP_SLACK:
         return int(r)
     return int(np.floor(n))
-
-
-def _rates(alpha: float, v: float, x, y, p, z, q) -> tuple:
-    """Right-hand side of the system for (y, y', z, z'), on floats or arrays."""
-    return p, alpha * (1.0 + p * p) / y, q, -(alpha * (p / y) * (q + v) + alpha * (z + v * x) / (y * y))
 
 
 def _march(alpha: float, v: float, x0: float, start: tuple, h: float, nsteps: int):
     """March (y, y', z, z') one direction from x0; h carries the sign.
 
-    Returns one 4-tuple per node and whether a guard stopped the march.  The
+    Returns one tuple ``(y, y', z, z', y'', z'')`` per node and whether a
+    guard stopped the march; a guard that fires at x0 leaves no node.  The
     guards test y and y' only; z and z' run on as Python floats, so an
     overflow ends as inf or NaN without a NumPy warning.
     """
 
     def rates(x: float, y: float, p: float, z: float, q: float) -> tuple:
+        """Right-hand side of the system, behind the stage guards."""
         if not (math.isfinite(y) and math.isfinite(p)) or y <= Y_MIN or abs(p) >= SLOPE_MAX:
             raise _GuardHit
-        return _rates(alpha, v, x, y, p, z, q)
+        return p, alpha * (1.0 + p * p) / y, q, -(alpha * (p / y) * (q + v) + alpha * (z + v * x) / (y * y))
 
     half, sixth = 0.5 * h, h / 6.0
     x, (y, p, z, q) = x0, start
-    samples = [start]
+    samples = []
     try:
-        k1y, k1p, k1z, k1q = rates(x, y, p, z, q)
-        for i in range(1, nsteps + 1):
+        for i in range(1, nsteps + 2):
+            # The guard on a node is also the first stage of the step from it.
+            k1y, k1p, k1z, k1q = rates(x, y, p, z, q)
+            samples.append((y, p, z, q, k1p, k1q))
+            if i > nsteps:
+                break
             xm, x = x + half, x0 + i * h
             k2y, k2p, k2z, k2q = rates(xm, y + half * k1y, p + half * k1p, z + half * k1z, q + half * k1q)
             k3y, k3p, k3z, k3q = rates(xm, y + half * k2y, p + half * k2p, z + half * k2z, q + half * k2q)
@@ -90,9 +94,6 @@ def _march(alpha: float, v: float, x0: float, start: tuple, h: float, nsteps: in
             p += sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
             z += sixth * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
             q += sixth * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-            # The guard on the new node is also the next step's first stage.
-            k1y, k1p, k1z, k1q = rates(x, y, p, z, q)
-            samples.append((y, p, z, q))
     except _GuardHit:
         return samples, True
     return samples, False
@@ -149,14 +150,11 @@ def solve_curve(
     right, trunc_r = _march(alpha, v, init.x0, start, step, n_right)
     left, trunc_l = _march(alpha, v, init.x0, start, -step, n_left)
     for way, samples, truncated in (("forward", right, trunc_r), ("backward", left, trunc_l)):
-        if truncated and len(samples) - 1 < MIN_STEPS:
-            raise ImmediateSingularity(f"guard hit after {len(samples) - 1} {way} steps")
+        if truncated and len(samples) <= MIN_STEPS:
+            raise ImmediateSingularity(f"guard hit after {max(len(samples) - 1, 0)} {way} steps")
 
     grid = init.x0 + np.arange(1 - len(left), len(right)) * step
-    y, yp, z, zp = np.array(left[:0:-1] + right, dtype=float).T.copy()
-    # A z large enough to overflow z'' is rejected with the non-finite z.
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, ypp, _, zpp = _rates(alpha, v, grid, y, yp, z, zp)
+    y, yp, z, zp, ypp, zpp = np.array(left[:0:-1] + right, dtype=float).T.copy()
     finite = np.isfinite(z) & np.isfinite(zp) & np.isfinite(zpp)
     if not np.all(finite):
         bad = grid[~finite]
@@ -166,8 +164,9 @@ def solve_curve(
     z_of = SampledCoordinate(grid, z, zp, zpp)
     # The anchor x0 is the last node of the backward march.
     w = recover_w(y_of, z_of, init.w0, len(left) - 1)
-    lo, hi = float(grid[0]), float(grid[-1])
-    short = lo - a > 1e-6 * step or b - hi > 1e-6 * step
+    # A whole last step may end up to STEP_SLACK steps past the request.
+    lo, hi = max(float(grid[0]), a), min(float(grid[-1]), b)
+    short = lo - a > STEP_SLACK * step or b - hi > STEP_SLACK * step
     return GraphCurve(
         (lo, hi),
         y_of,

@@ -155,22 +155,26 @@ class Bump:
     center: float
     radius: float
 
-    def _t(self, x):
-        return (np.asarray(x, dtype=float) - self.center) / self.radius
+    @classmethod
+    def central(cls, a: float, b: float) -> "Bump":
+        """The bump centred on [a, b] with radius 0.3 of its width."""
+        return cls(0.5 * (a + b), 0.3 * (b - a))
+
+    def _ts(self, x):
+        """Scaled offset ``t`` and ``s = max(0, 1 - t**2)`` at x."""
+        t = (np.asarray(x, dtype=float) - self.center) / self.radius
+        return t, np.maximum(0.0, 1.0 - t * t)
 
     def value(self, x):
-        t = self._t(x)
-        s = np.maximum(0.0, 1.0 - t * t)
+        _, s = self._ts(x)
         return s**3
 
     def deriv(self, x):
-        t = self._t(x)
-        s = np.maximum(0.0, 1.0 - t * t)
+        t, s = self._ts(x)
         return -6.0 * t * s * s / self.radius
 
     def deriv2(self, x):
-        t = self._t(x)
-        s = np.maximum(0.0, 1.0 - t * t)
+        t, s = self._ts(x)
         return 6.0 * s * (5.0 * t * t - 1.0) / self.radius**2
 
 
@@ -242,7 +246,7 @@ def make_constrained_variation(
     rng = np.random.default_rng(seed)
     dy = _random_bumps(rng, a, b)
     dz = _random_bumps(rng, a, b)
-    fixer = Bump(0.5 * (a + b), 0.3 * (b - a))
+    fixer = Bump.central(a, b)
 
     breaks = dy.edges() + dz.edges() + (fixer.center - fixer.radius, fixer.center + fixer.radius)
     x, wts = quadrature.partitioned_nodes(a, b, breaks, panels)
@@ -282,16 +286,14 @@ def perturbed_curve(
     a, _ = curve.domain
     s = float(scale)
 
-    y2 = Coordinate(
-        lambda x: curve.y.value(x) + s * delta_y.value(x),
-        lambda x: curve.y.deriv(x) + s * delta_y.deriv(x),
-        lambda x: curve.y.deriv2(x) + s * delta_y.deriv2(x),
-    )
-    z2 = Coordinate(
-        lambda x: curve.z.value(x) + s * delta_z.value(x),
-        lambda x: curve.z.deriv(x) + s * delta_z.deriv(x),
-        lambda x: curve.z.deriv2(x) + s * delta_z.deriv2(x),
-    )
+    def moved(base: Coordinate, delta) -> Coordinate:
+        return Coordinate(
+            lambda x: base.value(x) + s * delta.value(x),
+            lambda x: base.deriv(x) + s * delta.deriv(x),
+            lambda x: base.deriv2(x) + s * delta.deriv2(x),
+        )
+
+    y2, z2 = moved(curve.y, delta_y), moved(curve.z, delta_z)
 
     def w_d1(x):
         return -(y2.deriv(x) * z2.deriv(x))

@@ -89,7 +89,11 @@ class TestGenerate:
         )
 
 
-@pytest.mark.parametrize("argv", [("verify",), ("energy",), ("variation", "--count", "1")])
+@pytest.mark.parametrize("argv", [
+    ("verify",), ("energy",), ("variation", "--count", "1"),
+    # the --perturb curve carries no solve tag; the exit comes from the solve
+    ("variation", "--count", "1", "--perturb", "0.1"),
+])
 def test_every_command_exits_3_on_truncation(capsys, argv):
     code, _, err = run_cli(capsys, *argv, "--alpha", "3", "--solve", "--domain", "-2:2")
     assert code == 3
@@ -373,6 +377,8 @@ class TestErrors:
             ("verify", "--alpha", "-1", "--curve-alpha", "0", "--m", "1e-200", "--samples", "3"),
             ("verify", "--alpha", "1", "--v", "-inf"),  # a separate negative value reaches _validate
             ("variation", "--alpha", "1", "--seed", "-1", "--count", "1"),  # NumPy seeds are non-negative
+            ("verify", "--alpha", "1", "--tol", "-1"),  # a gate that no value can pass
+            ("variation", "--alpha", "1", "--count", "1", "--tol", "-1"),
         ],
     )
     def test_usage_errors_exit_2(self, capsys, argv):

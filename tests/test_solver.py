@@ -75,6 +75,20 @@ def reference_solve_dual(alpha, v, grid, y, yp, ypp, init):
     return zv, zp, zpp
 
 
+def recorded_samples(monkeypatch):
+    """A list that collects the (value, d1, d2) samples of every
+    SampledCoordinate the solver builds, in order: y, then z, then w."""
+    samples = []
+
+    class Recording(SampledCoordinate):
+        def __init__(self, grid, vals, d1, d2):
+            samples.append((vals, d1, d2))
+            super().__init__(grid, vals, d1, d2)
+
+    monkeypatch.setattr(solver, "SampledCoordinate", Recording)
+    return samples
+
+
 # Half-widths of untruncated solves from y(0) = 1 with y'(0) in {0, 1/2}.
 IDENTITY_HALF_WIDTHS = {-0.5: 0.75, 0.5: 0.75, 2.0: 0.8, 3.0: 0.4}
 
@@ -240,14 +254,7 @@ class TestDualSolveAndRecovery:
     def test_w_matches_separately_built_splines(self, monkeypatch, alpha, init, domain, v):
         # w from the y and z coordinates' own derivative splines equals w from
         # two fresh splines of (y', y'') and (z', z''), bit for bit.
-        samples = []
-
-        class Recording(SampledCoordinate):
-            def __init__(self, grid, vals, d1, d2):
-                samples.append((vals, d1, d2))
-                super().__init__(grid, vals, d1, d2)
-
-        monkeypatch.setattr(solver, "SampledCoordinate", Recording)
+        samples = recorded_samples(monkeypatch)
         curve = solve_curve(alpha, init, domain, v=v)
         grid = curve.y.grid
         # solve_curve builds y, then z, then w.
@@ -259,6 +266,17 @@ class TestDualSolveAndRecovery:
         for xs in (grid, np.random.default_rng(0).uniform(*curve.domain, 501)):
             for got, ref in zip(nodes(curve.w, xs), nodes(want, xs)):
                 assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("alpha, init, domain, v", W_REBUILD_CASES)
+    def test_second_derivative_samples_solve_the_system(self, monkeypatch, alpha, init, domain, v):
+        # The y'' and z'' samples are the right-hand side of the system on the
+        # (y, y', z, z') samples at each node, bit for bit.
+        samples = recorded_samples(monkeypatch)
+        curve = solve_curve(alpha, init, domain, v=v)
+        x = curve.y.grid
+        (y, yp, ypp), (z, zp, zpp) = samples[:2]
+        assert np.array_equal(ypp, alpha * (1.0 + yp * yp) / y)
+        assert np.array_equal(zpp, -(alpha * (yp / y) * (zp + v) + alpha * (z + v * x) / (y * y)))
 
     @pytest.mark.parametrize("yp0", [0.0, 0.5])
     @pytest.mark.parametrize("alpha", [-0.5, 0.5, 2.0, 3.0])
@@ -329,3 +347,10 @@ class TestSolveCurve:
         cv = solve_curve(1.0, init, domain, step=0.25)
         assert cv.source.truncated is truncated
         assert cv.source == Numeric(truncated)
+
+    def test_domain_stays_inside_the_request(self):
+        # Four whole steps of 0.25 end 2.5e-8 past the requested right end.
+        domain = (-1.0, 1.0 - 2.5e-8)
+        cv = solve_curve(1.0, COSH_INIT, domain, step=0.25)
+        assert cv.domain == domain
+        assert cv.source == Numeric(False)
