@@ -47,8 +47,10 @@ NUMERIC_TOL = 1e-6
 VARIATION_TOL = 1e-5
 VARIATION_RETRIES = 5
 
-# Smallest accepted value of each integer flag.
+# Smallest accepted value of each integer flag, and the largest of those
+# whose arrays grow with them.
 INT_MINIMUM = {"samples": 2, "panels": 1, "count": 1, "seed": 0}
+INT_MAXIMUM = {"samples": 10**6, "panels": 10**5}
 
 
 class UsageError(DualcatError):
@@ -71,13 +73,16 @@ def _parse_domain(text: str) -> tuple[float, float]:
 
 
 def _validate(args) -> None:
-    """Reject non-finite float flags and integer flags below their minimum."""
+    """Reject non-finite float flags and integer flags outside their bounds."""
     for name, val in vars(args).items():
         if isinstance(val, float) and not math.isfinite(val):
             raise UsageError(f"--{name.replace('_', '-')} must be finite, got {val}")
     for name, low in INT_MINIMUM.items():
         if getattr(args, name, low) < low:
             raise UsageError(f"--{name} must be at least {low}")
+    for name, high in INT_MAXIMUM.items():
+        if getattr(args, name) > high:
+            raise UsageError(f"--{name} must be at most {high}")
     if args.tol is not None and args.tol < 0.0:
         raise UsageError(f"--tol must not be negative, got {args.tol}")
 

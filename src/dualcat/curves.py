@@ -10,7 +10,7 @@ part plus an eps correction driven by z.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -23,8 +23,7 @@ from .spline import HermiteSpline
 # Absolute slack when checking that a point lies inside a curve's interval.
 DOMAIN_SLACK = 1e-12
 
-# Arc length: tolerance on the table total and on each inversion, and the
-# Newton steps an inversion may take.
+# Arc length: tolerance on each inversion, and the Newton steps it may take.
 ARCLEN_TOL = 1e-12
 NEWTON_STEPS = 32
 
@@ -80,6 +79,32 @@ class SampledCoordinate(Coordinate):
         s_d1 = HermiteSpline(grid, d1, d2)
         super().__init__(HermiteSpline(grid, vals, d1), s_d1, s_d1.derivative())
         self.grid = grid
+
+
+def recover_w(y: Coordinate, z: Coordinate, edges, x0: float, w0: Callable[[], float]) -> Coordinate:
+    """The admissible w for y and z: ``w' = -y'*z'`` and ``w(x0) = w0()``.
+
+    Values are ``(w0() - F(x0)) + F(x)``, with F one cumulative table of w'
+    over ``edges``.  Table and anchor are built, and w0 is called, when a
+    value is first asked for.
+    """
+
+    def d1(x):
+        return -(y.deriv(x) * z.deriv(x))
+
+    def d2(x):
+        return -(y.deriv2(x) * z.deriv(x) + y.deriv(x) * z.deriv2(x))
+
+    @cache
+    def anchored() -> tuple[quadrature.CumulativeIntegral, float]:
+        table = quadrature.CumulativeIntegral(d1, edges)
+        return table, float(w0()) - table(x0)
+
+    def value(x):
+        table, offset = anchored()
+        return _dedim(offset + table(x))
+
+    return Coordinate(value, d1, d2)
 
 
 @dataclass(frozen=True)
@@ -219,9 +244,7 @@ class GraphCurve:
         Refinement halves the start cells where the speed needs it, such as
         near the steep ends of a circular arc.
         """
-        return quadrature.CumulativeIntegral(
-            lambda x: np.hypot(1.0, self.y.deriv(x)), self._table_edges(), ARCLEN_TOL
-        )
+        return quadrature.CumulativeIntegral(lambda x: np.hypot(1.0, self.y.deriv(x)), self._table_edges())
 
     def arc_length(self, x0: float, x1: float) -> float:
         """Euclidean arc length of the real part between x0 and x1."""

@@ -12,8 +12,10 @@ from .errors import NumericalFailure
 GL_ORDER = 5
 PANELS = 64
 
-# Cumulative tables: uniform start cells when no natural edges are given, and
-# the caps that stop refinement of an integrand that never settles.
+# Cumulative tables: absolute tolerance on the table total, uniform start
+# cells when no natural edges are given, and the caps that stop refinement of
+# an integrand that never settles.
+TABLE_TOL = 1e-12
 TABLE_START_CELLS = 64
 TABLE_MAX_CELLS = 1 << 17
 TABLE_MAX_HALVINGS = 40
@@ -59,45 +61,40 @@ def partitioned_nodes(a: float, b: float, breakpoints, panels: int = PANELS) -> 
     left = k * step + start
     right = (k + 1) * step + start
     right[ends - 1] = hi
+    nodes, half, w = _panel_nodes(left, right)
+    return nodes.ravel(), (half[:, None] * w).ravel()
+
+
+def _panel_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rule on each panel [lo[k], hi[k]]: its nodes, one row per panel,
+    the panels' half-widths, and the weights on [-1, 1]."""
     t, w = gauss_legendre_rule()
-    half = 0.5 * (right - left)
-    mid = 0.5 * (left + right)
-    nodes = (mid[:, None] + half[:, None] * t[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    half = 0.5 * (hi - lo)
+    return (0.5 * (lo + hi))[:, None] + half[:, None] * t, half, w
 
 
 def _segment_integrals(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Integral of ``f`` over each segment [lo[k], hi[k]]."""
-    t, w = gauss_legendre_rule()
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (lo + hi)
-    nodes = mid[:, None] + half[:, None] * t[None, :]
+    nodes, half, w = _panel_nodes(lo, hi)
     vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
     return half * (vals @ w)
-
-
-def cell_integrals(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> np.ndarray:
-    """Integral of ``f`` over each cell [edges[k], edges[k+1]]."""
-    edges = np.asarray(edges, dtype=float)
-    return _segment_integrals(f, edges[:-1], edges[1:])
 
 
 class CumulativeIntegral:
     """Primitive ``F(x) = integral of f from edges[0] to x``, tabulated once.
 
     Cells start at ``edges`` and are halved until the rule over a cell agrees
-    with the sum over its halves to ``tol * width / (b - a)``, or to rounding
+    with the sum over its halves to ``TABLE_TOL * width / (b - a)``, or to rounding
     when the cell's integral is too large for that.  Each accepted cell is
     stored as its two halves, whose sum is the more accurate value, so the
-    table total is typically far inside ``tol``.  ``F(x)`` adds one rule over
+    table total is typically far inside TABLE_TOL.  ``F(x)`` adds one rule over
     [edge, x] to the sum up to x's cell.  A non-finite cell integral, or
     refinement that exceeds its caps, raises NumericalFailure.
     """
 
     __slots__ = ("f", "edges", "sums", "_unit_nodes", "_unit_weights")
 
-    def __init__(self, f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray, tol: float):
+    def __init__(self, f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray):
         edges = np.asarray(edges, dtype=float)
         self.f = f
         span = edges[-1] - edges[0]
@@ -111,7 +108,7 @@ class CumulativeIntegral:
             if not (np.all(np.isfinite(whole)) and np.all(np.isfinite(halves))):
                 raise NumericalFailure("integrand is not finite on its interval")
             fine = halves[0::2] + halves[1::2]
-            ok = np.abs(whole - fine) <= np.maximum(tol * (hi - lo) / span, ROUNDING * np.abs(fine))
+            ok = np.abs(whole - fine) <= np.maximum(TABLE_TOL * (hi - lo) / span, ROUNDING * np.abs(fine))
             keep = np.repeat(ok, 2)
             starts.append(lo2[keep])
             parts.append(halves[keep])

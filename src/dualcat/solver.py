@@ -4,8 +4,9 @@ The state ``(y, y', z, z')`` solves ``y'' = alpha*(1 + y'**2)/y`` and its eps
 part, ``z'' = -alpha*((y'/y)*(z' + v) + (z + v*x)/y**2)``, with one classical
 RK4 march from the initial point out to both requested endpoints.  Stage
 guards on y and y' stop it before the iterate leaves the upper half plane or
-the slope blows up, so the achieved domain may be shorter than requested.  w
-is then recovered from the admissibility constraint by per-cell quadrature.
+the slope blows up, so the achieved domain may be shorter than requested,
+and a guarded march keeps only the nodes where its first integral holds.  w
+is then recovered from the admissibility constraint.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import GraphCurve, Numeric, SampledCoordinate
+from .curves import GraphCurve, Numeric, SampledCoordinate, recover_w
 from .errors import ImmediateSingularity, InvalidParams, NumericalFailure
-from .quadrature import cell_integrals
 
 # Default RK4 step.
 STEP = 1e-3
@@ -35,6 +35,9 @@ SLOPE_MAX = 1e8
 
 # Fraction of a step by which a domain may miss a whole step count and still count as whole.
 STEP_SLACK = 1e-6
+
+# Largest relative drift of the first integral that a guarded march may keep.
+DRIFT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,8 @@ def _march(alpha: float, v: float, x0: float, start: tuple, h: float, nsteps: in
     """March (y, y', z, z') one direction from x0; h carries the sign.
 
     Returns one tuple ``(y, y', z, z', y'', z'')`` per node and whether a
-    guard stopped the march; a guard that fires at x0 leaves no node.  The
+    guard stopped the march; a guard that fires at x0 leaves no node, and a
+    march that a guard stops keeps only its nodes before the drift.  The
     guards test y and y' only; z and z' run on as Python floats, so an
     overflow ends as inf or NaN without a NumPy warning.
     """
@@ -95,19 +99,26 @@ def _march(alpha: float, v: float, x0: float, start: tuple, h: float, nsteps: in
             z += sixth * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
             q += sixth * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
     except _GuardHit:
-        return samples, True
+        return _before_drift(samples, alpha), True
     return samples, False
 
 
-def recover_w(y: SampledCoordinate, z: SampledCoordinate, w0: float, anchor: int) -> np.ndarray:
-    """w on y's grid from ``w' = -y'*z'`` and ``w(grid[anchor]) = w0``.
+def _before_drift(samples: list, alpha: float) -> list:
+    """The nodes before the first whose first integral has drifted.
 
-    Each cell integral uses Gauss-Legendre quadrature of the spline
-    interpolants of y' and z', cumulatively summed from the left endpoint.
+    ``C = (1 + y'**2)/y**(2*alpha)`` is constant on exact solutions.  Near a
+    guard the march leaves the solution long before y or y' trips it, so the
+    nodes from the first one where ``|C/C(x0) - 1|`` exceeds DRIFT_TOL, or
+    is not finite, are dropped.  The ratio is formed from ``y(x0)/y``, so a
+    power of y alone that leaves the float range does not count as drift.
     """
-    cells = cell_integrals(lambda x: -(y.deriv(x) * z.deriv(x)), y.grid)
-    cum = np.concatenate(([0.0], np.cumsum(cells)))
-    return (w0 - cum[anchor]) + cum
+    if not samples:
+        return samples
+    y, p = np.array(samples)[:, :2].T
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ratio = (1.0 + p * p) / (1.0 + p[0] * p[0]) * (y[0] / y) ** (2.0 * alpha)
+        kept = np.abs(ratio - 1.0) <= DRIFT_TOL
+    return samples if kept.all() else samples[: int(np.argmin(kept))]
 
 
 def solve_curve(
@@ -118,10 +129,11 @@ def solve_curve(
     *,
     step: float = STEP,
 ) -> GraphCurve:
-    """March the system both ways from init.x0 and interpolate y, z and w.
+    """March the system both ways from init.x0, interpolate y and z, and recover w.
 
     A guard that stops a march shrinks the curve's domain and marks its
-    Numeric tag truncated; one that stops it within MIN_STEPS raises
+    Numeric tag truncated; the march ends at its last node before the first
+    integral drifts by DRIFT_TOL.  One that leaves at most MIN_STEPS nodes raises
     ImmediateSingularity, and a z or z' that overflows raises NumericalFailure.
     A domain that is not a whole number of steps from x0 is also marked
     truncated: its end nodes fall short of the requested ends.
@@ -162,15 +174,13 @@ def solve_curve(
 
     y_of = SampledCoordinate(grid, y, yp, ypp)
     z_of = SampledCoordinate(grid, z, zp, zpp)
-    # The anchor x0 is the last node of the backward march.
-    w = recover_w(y_of, z_of, init.w0, len(left) - 1)
     # A whole last step may end up to STEP_SLACK steps past the request.
     lo, hi = max(float(grid[0]), a), min(float(grid[-1]), b)
     short = lo - a > STEP_SLACK * step or b - hi > STEP_SLACK * step
     return GraphCurve(
         (lo, hi),
         y_of,
-        SampledCoordinate(grid, w, -(yp * zp), -(ypp * zp + yp * zpp)),
+        recover_w(y_of, z_of, grid, init.x0, lambda: init.w0),
         z_of,
         Numeric(trunc_l or trunc_r or short),
     )

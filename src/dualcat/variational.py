@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature
-from .curves import ClosedForm, Coordinate, GraphCurve
-from .dual import DirectionSpec, DualScalar, DualVec2, _dedim, dual_dot, dual_norm
+from .curves import ClosedForm, Coordinate, GraphCurve, recover_w
+from .dual import DirectionSpec, DualScalar, DualVec2, dual_dot, dual_norm
 from .errors import DegenerateVariation, DomainError, InvalidParams, NumericalFailure
 
 # Bump amplitude used for seeded variations; small enough that quadrature
@@ -30,9 +30,6 @@ RANDOM_BUMPS = 3
 # Thresholds for the solvability of the one-dimensional constraint correction.
 FIXER_DENOM_MIN = 1e-10
 CONSTRAINT_NEGLIGIBLE = 1e-12
-
-# Absolute tolerance of a perturbed curve's rebuilt w over its whole interval.
-W_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -294,23 +291,8 @@ def perturbed_curve(
         )
 
     y2, z2 = moved(curve.y, delta_y), moved(curve.z, delta_z)
-
-    def w_d1(x):
-        return -(y2.deriv(x) * z2.deriv(x))
-
-    def w_d2(x):
-        return -(y2.deriv2(x) * z2.deriv(x) + y2.deriv(x) * z2.deriv2(x))
-
-    w0, table = None, None
-
-    def w_val(x):
-        nonlocal w0, table
-        if table is None:
-            w0 = float(curve.w.value(a))
-            table = quadrature.CumulativeIntegral(w_d1, curve._table_edges(), W_TOL)
-        return _dedim(w0 + table(x))
-
-    return GraphCurve(curve.domain, y2, Coordinate(w_val, w_d1, w_d2), z2, source=None)
+    w = recover_w(y2, z2, curve._table_edges(), a, lambda: curve.w.value(a))
+    return GraphCurve(curve.domain, y2, w, z2, source=None)
 
 
 def first_variation(

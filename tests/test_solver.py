@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from dualcat import (
     NumericalFailure,
     Numeric,
     SampledCoordinate,
+    energy,
     residual_report,
     solve_curve,
 )
@@ -77,7 +79,7 @@ def reference_solve_dual(alpha, v, grid, y, yp, ypp, init):
 
 def recorded_samples(monkeypatch):
     """A list that collects the (value, d1, d2) samples of every
-    SampledCoordinate the solver builds, in order: y, then z, then w."""
+    SampledCoordinate the solver builds, in order: y, then z."""
     samples = []
 
     class Recording(SampledCoordinate):
@@ -118,6 +120,11 @@ W_REBUILD_CASES = [
     (1.0, InitialData(0.0, 1.0, 0.0, z0=1.0, w0=0.4), (-1.0, 1.0), 0.0),
     (1.5, InitialData(0.1, 1.0, 0.0), (-2.0, 2.0), 0.0),
     (3.0, COSH_INIT, (-2.0, 2.0), 0.0),
+]
+
+# The untruncated W_REBUILD_CASES, and a solve with every initial datum set.
+ADMISSIBLE_CASES = W_REBUILD_CASES[:3] + [
+    (1.5, InitialData(0.0, 1.0, 0.3, z0=1.0, w0=0.4), (-2.0, 2.0), 0.0),
 ]
 
 
@@ -253,19 +260,35 @@ class TestDualSolveAndRecovery:
     @pytest.mark.parametrize("alpha, init, domain, v", W_REBUILD_CASES)
     def test_w_matches_separately_built_splines(self, monkeypatch, alpha, init, domain, v):
         # w from the y and z coordinates' own derivative splines equals w from
-        # two fresh splines of (y', y'') and (z', z''), bit for bit.
+        # two fresh splines of (y', y'') and (z', z''), bit for bit: the
+        # primitive T of -y'*z' on the solve grid, anchored at x0.
         samples = recorded_samples(monkeypatch)
         curve = solve_curve(alpha, init, domain, v=v)
         grid = curve.y.grid
-        # solve_curve builds y, then z, then w.
-        (_, yp, ypp), (_, zp, zpp) = samples[:2]
+        assert len(samples) == 2
+        (_, yp, ypp), (_, zp, zpp) = samples
         yp_of, zp_of = HermiteSpline(grid, yp, ypp), HermiteSpline(grid, zp, zpp)
-        cum = np.concatenate(([0.0], np.cumsum(quadrature.cell_integrals(lambda x: -(yp_of(x) * zp_of(x)), grid))))
-        anchor = int(np.flatnonzero(grid == init.x0)[0])
-        want = SampledCoordinate(grid, (init.w0 - cum[anchor]) + cum, -(yp * zp), -(ypp * zp + yp * zpp))
+        ypp_of, zpp_of = yp_of.derivative(), zp_of.derivative()
+        table = quadrature.CumulativeIntegral(lambda x: -(yp_of(x) * zp_of(x)), grid)
         for xs in (grid, np.random.default_rng(0).uniform(*curve.domain, 501)):
-            for got, ref in zip(nodes(curve.w, xs), nodes(want, xs)):
+            want = (
+                (init.w0 - table(init.x0)) + table(xs),
+                -(yp_of(xs) * zp_of(xs)),
+                -(ypp_of(xs) * zp_of(xs) + yp_of(xs) * zpp_of(xs)),
+            )
+            for got, ref in zip(nodes(curve.w, xs), want):
                 assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("alpha, init, domain, v", ADMISSIBLE_CASES)
+    def test_w_admissible_between_knots(self, alpha, init, domain, v):
+        # w' is -y'*z' itself, so the defect cancels exactly everywhere and
+        # the energy's eps part is the potential response alone.
+        curve = solve_curve(alpha, init, domain, v=v)
+        assert not curve.source.truncated
+        xs = np.random.default_rng(1).uniform(*curve.domain, 501)
+        assert np.max(np.abs(curve.admissibility_residual(xs))) == 0.0
+        ev = energy(curve, DirectionSpec(v), alpha)
+        assert ev.total.du == ev.e1
 
     @pytest.mark.parametrize("alpha, init, domain, v", W_REBUILD_CASES)
     def test_second_derivative_samples_solve_the_system(self, monkeypatch, alpha, init, domain, v):
@@ -307,6 +330,70 @@ class TestDualSolveAndRecovery:
         zb, zpb, _ = nodes(cv_b.z, grid)
         wronskian = (za * zpb - zpa * zb) * cv_a.y.value(grid) ** alpha
         assert np.max(np.abs(wronskian - 1.0)) <= 1e-9
+
+
+def cycloid_y(x, r):
+    """Height of the cycloid ``x = r*(theta - sin(theta) - pi)``,
+    ``y = r*(1 - cos(theta))`` over x in (-pi*r, pi*r), by Newton steps on theta.
+
+    It is the alpha = -1/2 curve through (0, 2r) with y' = 0 there, since
+    ``y*(1 + y'**2) = 2r``.  From theta = pi, the steps approach the root
+    monotonically: the equation is convex in theta left of pi, concave right of it.
+    """
+    x = np.asarray(x, dtype=float)
+    theta = np.full(x.shape, math.pi)
+    for _ in range(100):
+        theta = theta - (r * (theta - np.sin(theta) - math.pi) - x) / (r * (1.0 - np.cos(theta)))
+    assert np.max(np.abs(r * (theta - np.sin(theta) - math.pi) - x)) <= 1e-15
+    return r * (1.0 - np.cos(theta))
+
+
+class TestDriftCut:
+    def test_cycloid_cut_inside_the_cusps(self):
+        # y(0) = 1 with y' = 0 at alpha -1/2 is the cycloid with r = 1/2,
+        # whose cusps lie at +-pi/2.
+        cv = solve_curve(-0.5, COSH_INIT, (-3.0, 3.0))
+        a, b = cv.domain
+        assert cv.source.truncated
+        assert -math.pi / 2 < a < -1.5 and 1.5 < b < math.pi / 2
+        grid, y = y_nodes(cv)
+        assert np.max(np.abs(y - cycloid_y(grid, 0.5))) <= 1e-9
+
+    def test_arc_length_of_truncated_solve(self):
+        # The table spans the whole kept domain, so it must converge there.
+        cv = solve_curve(3.0, COSH_INIT, (-2.0, 2.0))
+        t0 = time.perf_counter()
+        got = cv.arc_length(-0.5, 0.5)
+        x = cv.x_at_arclength(0.5 * cv.arc_length(*cv.domain))
+        assert time.perf_counter() - t0 < 1.0
+        want = quad(lambda x: math.hypot(1.0, cv.y.deriv(x)), -0.5, 0.5, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+        assert abs(got - want) <= 1e-10
+        assert abs(x) <= 1e-10  # the solve is symmetric about x0 = 0
+
+    @pytest.mark.parametrize("alpha, init, domain, v", ADMISSIBLE_CASES)
+    def test_untruncated_solve_is_not_cut(self, monkeypatch, alpha, init, domain, v):
+        want = solve_curve(alpha, init, domain, v=v)
+        # Every node would count as drifted: only a guard lets the cut act.
+        monkeypatch.setattr(solver, "DRIFT_TOL", -1.0)
+        got = solve_curve(alpha, init, domain, v=v)
+        assert got.domain == want.domain and got.source == want.source == Numeric(False)
+        grid = want.y.grid
+        assert np.array_equal(got.y.grid, grid)
+        for coord in ("y", "z", "w"):
+            for g, w in zip(nodes(getattr(got, coord), grid), nodes(getattr(want, coord), grid)):
+                assert np.array_equal(g, w)
+
+    def test_drift_is_read_relative_to_the_anchor(self):
+        # y**(2*alpha) overflows at y = 1e100, but C itself has not moved.
+        flat = [(1e100, 0.0, 0.0, 0.0, 0.0, 0.0)] * 20
+        assert solver._before_drift(flat, 2.0) == flat
+        bent = flat[:12] + [(1e100, 1e-3, 0.0, 0.0, 0.0, 0.0)] * 8
+        assert solver._before_drift(bent, 2.0) == flat[:12]
+
+    def test_min_steps_counts_kept_nodes(self, monkeypatch):
+        monkeypatch.setattr(solver, "DRIFT_TOL", -1.0)
+        with pytest.raises(ImmediateSingularity, match="after 0 forward steps"):
+            solve_curve(3.0, COSH_INIT, (-2.0, 2.0))
 
 
 class TestSolveCurve:

@@ -34,6 +34,7 @@ from dualcat import (
     perturbed_curve,
     residual_report,
 )
+from dualcat import quadrature
 from dualcat.quadrature import partitioned_nodes
 
 VERTICAL = DirectionSpec(0.0)
@@ -325,6 +326,28 @@ class TestPerturbedCurve:
         h = 1e-6
         got = (pert.w.value(0.3 + h) - pert.w.value(0.3 - h)) / (2 * h)
         assert got == pytest.approx(pert.w.deriv(0.3), abs=1e-8)
+
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_w_bit_identical_to_own_table(self, seed):
+        # The w that perturbed_curve once built with its own closure: a
+        # table of -y'*z' on the base curve's table edges, plus w(a).
+        cv = catenary_alpha1(CatenaryParams(alpha=1.0, c=1.3, v=0.8, d1=0.4, d2=-0.3, d3=0.2))
+        var = make_constrained_variation(cv, seed)
+        pert = perturbed_curve(cv, var.delta_y, var.delta_z, 0.05)
+        a, _ = cv.domain
+
+        def w_d1(x):
+            return -(pert.y.deriv(x) * pert.z.deriv(x))
+
+        def w_d2(x):
+            return -(pert.y.deriv2(x) * pert.z.deriv(x) + pert.y.deriv(x) * pert.z.deriv2(x))
+
+        table = quadrature.CumulativeIntegral(w_d1, cv._table_edges())
+        w0 = float(cv.w.value(a))
+        xs = np.random.default_rng(seed).uniform(*cv.domain, 501)
+        assert np.array_equal(pert.w.value(xs), w0 + table(xs))
+        assert np.array_equal(pert.w.deriv(xs), w_d1(xs))
+        assert np.array_equal(pert.w.deriv2(xs), w_d2(xs))
 
     def test_report_w_column_from_one_table(self):
         base = closed_form(CatenaryParams(alpha=1.0, c=1.3, v=0.8, d1=0.4))
