@@ -5,8 +5,9 @@ Subcommands: ``generate`` samples a curve with its residual columns,
 dual energy split, ``variation`` drives seeded constrained variations.
 Exit codes: 0 success; 1 a verification gate failed (a value above the
 tolerance or not finite); 2 bad usage or input the package rejects; 3 the
-solver truncated the requested domain or stopped at its first steps.  Output
-is deterministic for fixed flags.
+solver truncated the requested domain or stopped at its first steps; 141 the
+console script's stdout was closed early.  Output is deterministic for fixed
+flags.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -46,6 +48,10 @@ CLOSED_TOL = 1e-8
 NUMERIC_TOL = 1e-6
 VARIATION_TOL = 1e-5
 VARIATION_RETRIES = 5
+
+# Exit code of the console script when stdout's reader went away: 128 + SIGPIPE,
+# as a shell reports a process that the signal ended.
+EXIT_BROKEN_PIPE = 141
 
 # Smallest accepted value of each integer flag, and the largest of those
 # whose arrays grow with them.
@@ -324,4 +330,14 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    """Console-script entry: exit with main's code, or EXIT_BROKEN_PIPE when
+    the reader of stdout closed it early (as ``| head`` does)."""
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Unwritten output stays buffered; devnull takes it at exit, where
+        # the closed pipe would raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    raise SystemExit(code)

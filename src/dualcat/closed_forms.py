@@ -3,8 +3,9 @@
 Each constructor returns an admissible :class:`~dualcat.curves.GraphCurve`
 whose real part solves ``y'' / (1 + y'**2) = alpha / y`` and whose eps part
 solves the linearized equation for the tilted vertical direction
-``(0, 1) + eps*(v, 0)``.  All derivatives are coded analytically, so residual
-checks see only rounding noise.
+``(0, 1) + eps*(v, 0)``.  Each family codes y, z and the values of w
+analytically; ``curves.admissible_w`` gives w' and w'', so the curves are
+exactly admissible and the other residual checks see only rounding noise.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import ClosedForm, Coordinate, GraphCurve
+from .curves import ClosedForm, Coordinate, GraphCurve, admissible_w
 from .errors import DomainError, InvalidParams
 
 # Domain of the exponent-1 and exponent-0 families, and of a CLI solve, when none is given.
@@ -90,19 +91,9 @@ def catenary_alpha1(p: CatenaryParams, domain: tuple[float, float] | None = None
         t = theta(x)
         return (v / c) * np.cosh(t) + c * d1 * x - d1 * np.tanh(t) + d2 / np.cosh(t) + d3
 
-    def w_d1(x):
-        t = theta(x)
-        th = np.tanh(t)
-        return v * np.sinh(t) + c * th * (d1 * th - d2 / np.cosh(t))
-
-    def w_d2(x):
-        t = theta(x)
-        sech = 1.0 / np.cosh(t)
-        th = np.tanh(t)
-        return v * c * np.cosh(t) + (c * c) * (2.0 * d1 * th * sech * sech - d2 * sech * (sech * sech - th * th))
-
     domain = DEFAULT_DOMAIN if domain is None else domain
-    curve = GraphCurve(domain, y, Coordinate(w_val, w_d1, w_d2), Coordinate(z_val, z_d1, z_d2), ClosedForm(1.0, c))
+    z = Coordinate(z_val, z_d1, z_d2)
+    curve = GraphCurve(domain, y, admissible_w(y, z, w_val), z, ClosedForm(1.0, c))
     # cosh peaks at an end of the (validated) domain; y and y'' scale it by
     # 1/c and c.  Rejected here, before any formula overflows.
     with np.errstate(over="ignore"):
@@ -126,7 +117,7 @@ def catenary_alpha0(p: CatenaryParams, domain: tuple[float, float] | None = None
     k = sign * np.sqrt(p.c * p.c - 1.0)
     y = Coordinate.linear(k, p.m)
     z = Coordinate.linear(p.d1, p.d2)
-    w = Coordinate.linear(-k * p.d1, p.d3)
+    w = admissible_w(y, z, Coordinate.linear(-k * p.d1, p.d3).value)
     return GraphCurve(DEFAULT_DOMAIN if domain is None else domain, y, w, z, ClosedForm(0.0, p.c))
 
 
@@ -180,24 +171,9 @@ def catenary_alpha_minus1(p: CatenaryParams, domain: tuple[float, float] | None 
         yv = np.sqrt(R * R - t * t)
         return (v - d1) * yv + d2 * t - d2 * yv * np.arcsin(t / R) + d3
 
-    def w_d1(x):
-        t = t_of(x)
-        yv = np.sqrt(R * R - t * t)
-        return (-t / yv) * (v - d1 - d2 * np.arcsin(t / R))
-
-    def w_d2(x):
-        t = t_of(x)
-        yv = np.sqrt(R * R - t * t)
-        ypp = -(R * R) / yv**3
-        return ypp * (v - d1 - d2 * np.arcsin(t / R)) - d2 * (-t / yv) / yv
-
-    return GraphCurve(
-        domain,
-        Coordinate(y_val, y_d1, y_d2),
-        Coordinate(w_val, w_d1, w_d2),
-        Coordinate(z_val, z_d1, z_d2),
-        ClosedForm(-1.0, R),
-    )
+    y = Coordinate(y_val, y_d1, y_d2)
+    z = Coordinate(z_val, z_d1, z_d2)
+    return GraphCurve(domain, y, admissible_w(y, z, w_val), z, ClosedForm(-1.0, R))
 
 
 # The exponents with a closed form, each with its constructor.
@@ -226,10 +202,6 @@ def reversed_catenary(
     constant c of y, the curve is tagged ``ClosedForm(alpha, c)``.
     """
     v = float(v)
-    w = Coordinate(
-        lambda x: v * y.value(x),
-        lambda x: v * y.deriv(x),
-        lambda x: v * y.deriv2(x),
-    )
     z = Coordinate.linear(-v, 0.0)
+    w = admissible_w(y, z, lambda x: v * y.value(x))
     return GraphCurve(domain, y, w, z, None if c is None else ClosedForm(alpha, c))

@@ -81,30 +81,35 @@ class SampledCoordinate(Coordinate):
         self.grid = grid
 
 
+def admissible_w(y: Coordinate, z: Coordinate, value: Callable) -> Coordinate:
+    """The w with the given values whose derivatives follow from admissibility:
+    ``w' = -(y'*z')`` and ``w'' = -(y''*z' + y'*z'')``."""
+    return Coordinate(
+        value,
+        lambda x: -(y.deriv(x) * z.deriv(x)),
+        lambda x: -(y.deriv2(x) * z.deriv(x) + y.deriv(x) * z.deriv2(x)),
+    )
+
+
 def recover_w(y: Coordinate, z: Coordinate, edges, x0: float, w0: Callable[[], float]) -> Coordinate:
-    """The admissible w for y and z: ``w' = -y'*z'`` and ``w(x0) = w0()``.
+    """The admissible w for y and z with ``w(x0) = w0()``.
 
     Values are ``(w0() - F(x0)) + F(x)``, with F one cumulative table of w'
     over ``edges``.  Table and anchor are built, and w0 is called, when a
     value is first asked for.
     """
 
-    def d1(x):
-        return -(y.deriv(x) * z.deriv(x))
-
-    def d2(x):
-        return -(y.deriv2(x) * z.deriv(x) + y.deriv(x) * z.deriv2(x))
-
     @cache
     def anchored() -> tuple[quadrature.CumulativeIntegral, float]:
-        table = quadrature.CumulativeIntegral(d1, edges)
+        table = quadrature.CumulativeIntegral(w.deriv, edges)
         return table, float(w0()) - table(x0)
 
     def value(x):
         table, offset = anchored()
         return _dedim(offset + table(x))
 
-    return Coordinate(value, d1, d2)
+    w = admissible_w(y, z, value)
+    return w
 
 
 @dataclass(frozen=True)

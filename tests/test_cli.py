@@ -4,8 +4,11 @@ import csv
 import io
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,8 @@ import pytest
 import dualcat
 from dualcat import cli
 from dualcat.cli import CSV_COLUMNS, CSV_ROW, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -174,7 +179,7 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--alpha", "1", "--c", "2", "--v", "1.1", "--d1", "-0.6")
         assert code == 0
         assert out == (
-            "admissibility          8.8817841970012523e-16\n"
+            "admissibility          0\n"
             "el_real                6.6613381477509392e-16\n"
             "el_dual                8.8817841970012523e-16\n"
             "first_integral         1.7763568394002505e-15\n"
@@ -414,6 +419,53 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_closed_pipe_exits_141_quietly():
+    # The reader goes away after one line, as `| head -1` does.
+    argv = ("generate", "--alpha", "1", "--format", "csv", "--samples", "20000")
+    with subprocess.Popen(
+        [sys.executable, "-m", "dualcat", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        assert proc.stdout.readline() == (",".join(CSV_COLUMNS) + "\n").encode()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""
+
+
+def readme_cli_examples() -> list:
+    """(argv, shown lines) for each README block that begins with `$ dualcat`."""
+    readme = (ROOT / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"^```\w*\n(.*?)^```", readme, re.M | re.S):
+        if block.startswith("$ dualcat "):
+            command, *shown = block.splitlines()
+            examples.append((shlex.split(command)[2:], shown))
+    return examples
+
+
+README_EXAMPLES = readme_cli_examples()
+
+
+def test_readme_cli_examples_found():
+    assert [argv[0] for argv, _ in README_EXAMPLES] == ["verify", "verify", "energy", "generate", "variation"]
+
+
+@pytest.mark.parametrize(
+    "argv, shown", README_EXAMPLES, ids=[f"{i}-{argv[0]}" for i, (argv, _) in enumerate(README_EXAMPLES)]
+)
+def test_readme_cli_example(capsys, argv, shown):
+    # Each shown line is printed as is; one that ends in "..." is a prefix.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    printed = out.splitlines()
+    assert len(printed) >= len(shown)
+    for got, want in zip(printed, shown):
+        if want.endswith("..."):
+            assert got.startswith(want[:-3])
+        else:
+            assert got == want
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,9 @@ from dualcat import (
     catenary_alpha1,
     catenary_alpha_minus1,
     dual_norm,
+    make_constrained_variation,
+    perturbed_curve,
+    reversed_catenary,
     solve_curve,
 )
 
@@ -70,6 +73,38 @@ class TestBasics:
         cv = catenary_alpha1(CatenaryParams(alpha=1.0, c=2.0, v=0.7, d1=0.3, d2=-0.4))
         xs = np.linspace(-1.0, 1.0, 101)
         assert np.max(np.abs(cv.admissibility_residual(xs))) < 1e-13
+
+
+def _perturbed_catenary() -> GraphCurve:
+    cv = catenary_alpha1(CatenaryParams(alpha=1.0, c=1.5, v=0.7, d1=0.5, d2=-0.6))
+    var = make_constrained_variation(cv, 3)
+    return perturbed_curve(cv, var.delta_y, var.delta_z, 0.05)
+
+
+# Every way the package builds a curve.
+BUILDERS = {
+    "alpha1": lambda: catenary_alpha1(CatenaryParams(alpha=1.0, c=1.3, m=0.2, v=0.8, d1=0.4, d2=-0.7, d3=0.3)),
+    "alpha0-plus": lambda: catenary_alpha0(CatenaryParams(alpha=0.0, c=1.7, m=2.5, v=0.3, d1=0.6, d2=-0.2, d3=0.1)),
+    "alpha0-minus": lambda: catenary_alpha0(
+        CatenaryParams(alpha=0.0, c=2.2, m=3.0, d1=-0.4, d2=0.5, branch="minus")
+    ),
+    "alpha-1": lambda: catenary_alpha_minus1(
+        CatenaryParams(alpha=-1.0, R=1.5, m=0.3, v=-0.6, d1=0.2, d2=0.9, d3=-0.4)
+    ),
+    "reversed": lambda: reversed_catenary(1.0, catenary_alpha1(CatenaryParams(alpha=1.0, c=1.3)).y, 0.45, (-1.0, 1.0)),
+    "solve": lambda: solve_curve(0.5, InitialData(0.0, 1.0, 0.0, 0.2, 0.1), (-0.75, 0.75), 0.3),
+    "perturbed": _perturbed_catenary,
+}
+
+
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+def test_w_derivatives_come_from_admissibility(build):
+    curve = build()
+    xs = np.linspace(*curve.domain, 101)
+    yp, zp = curve.y.deriv(xs), curve.z.deriv(xs)
+    assert np.all(curve.admissibility_residual(xs) == 0.0)
+    assert np.array_equal(curve.w.deriv(xs), -(yp * zp))
+    assert np.array_equal(curve.w.deriv2(xs), -(curve.y.deriv2(xs) * zp + yp * curve.z.deriv2(xs)))
 
 
 class TestFrame:
