@@ -234,13 +234,30 @@ def _summary(curve: GraphCurve, report) -> dict:
     }
 
 
+def _null_nonfinite(obj):
+    """obj with each non-finite float in it, however nested in lists and
+    dicts, replaced by None, which JSON writes as null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, list):
+        return [_null_nonfinite(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _null_nonfinite(v) for k, v in obj.items()}
+    return obj
+
+
 def cmd_generate(args) -> int:
     curve = _build_curve(args, args.alpha)
     report = residual_report(curve, args.alpha, DirectionSpec(args.v), num=args.samples)
-    cols = report.columns
+    xs, res = report.grid, report.residuals
+    kappa = curve.curvature(xs)
+    # One row per grid point, in CSV_COLUMNS order.
+    rows = np.column_stack((
+        xs, curve.y.value(xs), curve.w.value(xs), curve.z.value(xs), curve.y.deriv(xs), curve.z.deriv(xs),
+        kappa.re, kappa.du, res["characterization_re"], res["characterization_du"], res["admissibility"],
+    )).tolist()
 
     if args.format == "csv":
-        rows = np.column_stack([cols[name] for name in CSV_COLUMNS]).tolist()
         print("\n".join([",".join(CSV_COLUMNS)] + [CSV_ROW % tuple(r) for r in rows]))
     else:
         payload = {
@@ -249,14 +266,11 @@ def cmd_generate(args) -> int:
                 "d1": args.d1, "d2": args.d2, "d3": args.d3, "branch": args.branch,
                 "solve": args.solve, "step": args.step, "samples": args.samples,
             },
-            "grid": [float(x) for x in report.grid],
-            "records": [
-                {name: float(cols[name][i]) for name in CSV_COLUMNS}
-                for i in range(len(report.grid))
-            ],
+            "grid": xs.tolist(),
+            "records": [dict(zip(CSV_COLUMNS, r)) for r in rows],
             "summary": _summary(curve, report),
         }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(_null_nonfinite(payload), indent=2, allow_nan=False))
     return _exit_code(curve, 0)
 
 

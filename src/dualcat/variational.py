@@ -11,7 +11,7 @@ every fixed-endpoint variation that respects admissibility to first order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -328,12 +328,16 @@ def first_variation(
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Residual columns on a sample grid plus their max-abs summary."""
+    """The pointwise residuals on a sample grid, the first-integral constant
+    they used, and each residual's largest magnitude."""
 
     grid: np.ndarray
-    columns: dict = field(default_factory=dict)
-    max_abs: dict = field(default_factory=dict)
-    c_used: float | None = None
+    residuals: dict
+    c_used: float
+
+    @property
+    def max_abs(self) -> dict:
+        return {name: float(np.max(np.abs(r))) for name, r in self.residuals.items()}
 
 
 def resolve_c(curve: GraphCurve, alpha: float, x0: float) -> float:
@@ -345,35 +349,22 @@ def resolve_c(curve: GraphCurve, alpha: float, x0: float) -> float:
 
 
 def residual_report(curve: GraphCurve, alpha: float, u: DirectionSpec, num: int = 201) -> ResidualReport:
-    """Evaluate all pointwise residuals on ``num`` evenly spaced points of the domain."""
+    """Evaluate all pointwise residuals on ``num`` evenly spaced points of the domain.
+
+    Only y, z and w's admissible derivatives are read, never w's values.
+    """
     a, b = curve.domain
     xs = np.linspace(a, b, num)
-    y = _heights(curve, xs)
+    # A height that is not positive fails here, before any residual divides by it.
+    _heights(curve, xs)
     c_used = resolve_c(curve, alpha, float(xs[len(xs) // 2]))
-    kappa = curve.curvature(xs)
     char = curve.characterization_residual(alpha, u, xs)
-    admis = curve.admissibility_residual(xs)
-
-    columns = {
-        "x": xs,
-        "y": y,
-        "w": np.asarray(curve.w.value(xs), float),
-        "z": np.asarray(curve.z.value(xs), float),
-        "yp": np.asarray(curve.y.deriv(xs), float),
-        "zp": np.asarray(curve.z.deriv(xs), float),
-        "kappa_re": kappa.re,
-        "kappa_du": kappa.du,
-        "char_res_re": char.re,
-        "char_res_du": char.du,
-        "admis_res": admis,
-    }
     residuals = {
-        "admissibility": admis,
+        "admissibility": curve.admissibility_residual(xs),
         "el_real": el_residual_real(curve, alpha, xs),
         "el_dual": el_residual_dual(curve, alpha, u, xs),
         "first_integral": first_integral_residual(curve, alpha, c_used, xs),
         "characterization_re": char.re,
         "characterization_du": char.du,
     }
-    max_abs = {name: float(np.max(np.abs(r))) for name, r in residuals.items()}
-    return ResidualReport(xs, columns, max_abs, c_used)
+    return ResidualReport(xs, residuals, c_used)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import dualcat
-from dualcat import cli
+from dualcat import cli, quadrature
 from dualcat.cli import CSV_COLUMNS, CSV_ROW, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -24,6 +24,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _not_json(constant):
+    raise ValueError(f"not JSON: {constant}")
+
+
+def strict_json(text):
+    """Parse text as RFC 8259 JSON, which has no NaN or Infinity."""
+    return json.loads(text, parse_constant=_not_json)
 
 
 class TestGenerate:
@@ -56,6 +65,16 @@ class TestGenerate:
         assert summary["inferred_c"] == 2.0
         assert summary["admissibility_max"] < 1e-10
         assert summary["characterization_re_max"] < 1e-10
+
+    def test_json_writes_nonfinite_values_as_null(self, capsys):
+        # c = 1e-300 makes the first-integral residual NaN (see TestVerify).
+        probe = ("generate", "--alpha", "1", "--c", "1e-300", "--samples", "3")
+        code, out, err = run_cli(capsys, *probe)
+        assert (code, err) == (0, "")
+        payload = strict_json(out)
+        assert payload["summary"]["first_integral_max"] is None
+        assert payload["summary"]["admissibility_max"] == 0.0
+        assert payload["grid"] == [-1.0, 0.0, 1.0]
 
     def test_deterministic_output(self, capsys):
         args = ("generate", "--alpha", "1", "--c", "1.5", "--v", "0.8", "--d1", "0.4")
@@ -172,6 +191,31 @@ class TestSolvePinned:
             "characterization_re_max": 5.204170427930421e-18,
             "characterization_du_max": 0.0,
         }
+
+
+@pytest.mark.parametrize("command, tables", [
+    (("verify",), 0),
+    (("energy",), 0),
+    (("variation", "--count", "2"), 0),
+    (("generate",), 1),
+])
+def test_w_table_built_only_to_print_w(capsys, monkeypatch, command, tables):
+    # A solve's w values come from a cumulative table of w', which only the
+    # commands that print w need.
+    built = []
+
+    class Spy(quadrature.CumulativeIntegral):
+        def __init__(self, f, edges):
+            built.append(len(edges))
+            super().__init__(f, edges)
+
+    monkeypatch.setattr(quadrature, "CumulativeIntegral", Spy)
+    readme_solve = (
+        "--alpha", "0.5", "--solve", "--domain", "-0.75:0.75", "--z0", "0.2", "--zp0", "0.1", "--v", "0.3",
+    )
+    code, _, err = run_cli(capsys, command[0], *readme_solve, *command[1:])
+    assert (code, err) == (0, "")
+    assert len(built) == tables
 
 
 class TestVerify:
@@ -571,11 +615,18 @@ def test_csv_row_format_on_random_bit_patterns():
 
 
 def _reference_csv(curve, alpha, v, samples):
-    """The CSV table written value by value with format(v, ".17g")."""
-    report = dualcat.residual_report(curve, alpha, dualcat.DirectionSpec(v), num=samples)
+    """The CSV table read off the curve on its grid and written value by value
+    with format(v, ".17g")."""
+    xs = np.linspace(*curve.domain, samples)
+    kappa = curve.curvature(xs)
+    char = curve.characterization_residual(alpha, dualcat.DirectionSpec(v), xs)
+    cols = (
+        xs, curve.y.value(xs), curve.w.value(xs), curve.z.value(xs), curve.y.deriv(xs), curve.z.deriv(xs),
+        kappa.re, kappa.du, char.re, char.du, curve.admissibility_residual(xs),
+    )
     lines = [",".join(CSV_COLUMNS)]
-    for i in range(len(report.grid)):
-        lines.append(",".join(format(float(report.columns[name][i]), ".17g") for name in CSV_COLUMNS))
+    for i in range(samples):
+        lines.append(",".join(format(float(col[i]), ".17g") for col in cols))
     return "\n".join(lines) + "\n"
 
 

@@ -9,6 +9,7 @@ Each value is passed as ``--flag=value`` or as ``--flag value``.
 
 import contextlib
 import io
+import json
 import math
 
 from hypothesis import given, settings, strategies as st
@@ -116,3 +117,10 @@ def test_cli_flag_properties(argv):
         assert all(math.isfinite(v) for v in _numbers(out.getvalue())), argv
     for line in err.getvalue().splitlines():
         assert line.startswith(("error:", "warning:")), (argv, line)
+    # JSON output, when written, is strict JSON: no NaN or Infinity.
+    if argv[0] == "generate" and argv[argv.index("--format") + 1] == "json" and out.getvalue():
+        json.loads(out.getvalue(), parse_constant=_not_json)
+
+
+def _not_json(constant):
+    raise AssertionError(f"not JSON: {constant}")

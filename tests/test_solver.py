@@ -441,3 +441,58 @@ class TestSolveCurve:
         cv = solve_curve(1.0, COSH_INIT, domain, step=0.25)
         assert cv.domain == domain
         assert cv.source == Numeric(False)
+
+
+# Exponents with no closed form, each with the half-width of a domain on
+# which the solve from GENERAL_INIT is not truncated.
+GENERAL_HALF_WIDTHS = {-2.0: 0.4, 0.7: 0.6, 1.5: 0.6, 2.0: 0.5, 3.0: 0.4}
+GENERAL_INIT = InitialData(0.0, 1.0, 0.2, z0=0.3, zp0=-0.1, w0=0.4)
+GENERAL_V = 0.3
+
+
+def mpmath_reference(alpha, v, init, direction):
+    """``x -> (y, z, w)`` from mpmath's Taylor integrator at 18 digits.
+
+    The state is ``(y, y', z, z', w)`` with ``y'' = alpha*(1 + y'**2)/y``,
+    the dual equation for ``z''`` and ``w' = -y'*z'``.  ``odefun`` only
+    integrates forward, so ``direction = -1`` integrates the mirrored system
+    in ``t = x0 - x``.
+    """
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = 18
+    a, vv, x0 = mp.mpf(alpha), mp.mpf(v), mp.mpf(init.x0)
+
+    def rates(t, s):
+        x = x0 + direction * t
+        y, p, z, q, _ = s
+        zpp = -(a * (p / y) * (q + vv) + a * (z + vv * x) / (y * y))
+        return [direction * r for r in (p, a * (1 + p * p) / y, q, zpp, -p * q)]
+
+    start = [mp.mpf(getattr(init, k)) for k in ("y0", "yp0", "z0", "zp0", "w0")]
+    f = mp.odefun(rates, 0, start)
+
+    def at(x):
+        y, _, z, _, w = f(direction * (mp.mpf(x) - x0))
+        return float(y), float(z), float(w)
+
+    return at
+
+
+class TestGeneralExponentReference:
+    """Solves at exponents with no closed form against an mpmath reference,
+    both ways from x0, with criterion 4's bounds."""
+
+    @pytest.mark.parametrize("alpha", sorted(GENERAL_HALF_WIDTHS))
+    @pytest.mark.parametrize("direction", (1, -1))
+    def test_matches_mpmath(self, alpha, direction):
+        hw = GENERAL_HALF_WIDTHS[alpha]
+        cv = solve_curve(alpha, GENERAL_INIT, (-hw, hw), v=GENERAL_V)
+        assert cv.source == Numeric(False)
+        ref = mpmath_reference(alpha, GENERAL_V, GENERAL_INIT, direction)
+        xs = direction * hw * np.arange(1, 6) / 5.0
+        want = np.array([ref(x) for x in xs])
+        assert np.max(np.abs(cv.y.value(xs) - want[:, 0])) <= 1e-8
+        assert np.max(np.abs(cv.z.value(xs) - want[:, 1])) <= 1e-7
+        assert np.max(np.abs(cv.w.value(xs) - want[:, 2])) <= 1e-7

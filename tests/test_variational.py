@@ -46,6 +46,16 @@ def cosh_graph(domain=(-1.0, 1.0)) -> GraphCurve:
     return GraphCurve(domain, y, Coordinate.constant(0.0), Coordinate.constant(0.0))
 
 
+def curve_without_w_values() -> GraphCurve:
+    """The catenary ``y = cosh x`` with z = 0, whose w raises when a value is
+    asked for; its derivatives w' = w'' = 0 are there."""
+    def no_w(x):
+        raise AssertionError("w.value evaluated")
+
+    y = Coordinate(np.cosh, np.sinh, np.cosh)
+    return GraphCurve((-1.0, 1.0), y, Coordinate(no_w, np.zeros_like, np.zeros_like), Coordinate.constant(0.0))
+
+
 class TestEnergy:
     def test_catenary_energy_against_antiderivative(self):
         # integral of cosh(x)**2 is x/2 + sinh(2x)/4
@@ -96,11 +106,7 @@ class TestEnergy:
     def test_never_reads_w_values(self):
         # <gamma,u> has no w term, so neither the energy nor its first
         # variation may evaluate w (on perturbed curves each value is a quad).
-        def no_w(x):
-            raise AssertionError("w.value evaluated")
-
-        y = Coordinate(np.cosh, np.sinh, np.cosh)
-        cv = GraphCurve((-1.0, 1.0), y, Coordinate(no_w, np.zeros_like, np.zeros_like), Coordinate.constant(0.0))
+        cv = curve_without_w_values()
         assert energy(cv, VERTICAL, 1.0).e0 == pytest.approx(1.0 + math.sinh(2.0) / 2.0, abs=1e-12)
         fv = first_variation(cv, make_constrained_variation(cv, 0), VERTICAL, 1.0)
         assert abs(fv.re) <= 1e-6 and abs(fv.du) <= 1e-6
@@ -354,35 +360,44 @@ class TestPerturbedCurve:
         t0 = time.perf_counter()
         pert = perturbed_curve(base, Bump(0.0, 0.6), EMPTY, 0.1)
         rep = residual_report(pert, 1.0, DirectionSpec(0.8))
+        w = pert.w.value(rep.grid)
         assert time.perf_counter() - t0 < 0.05
         a, _ = pert.domain
         steps = [quad(pert.w.deriv, lo, hi, epsabs=1e-14, epsrel=1e-14)[0]
                  for lo, hi in zip(rep.grid[:-1], rep.grid[1:])]
         want = base.w.value(a) + np.concatenate(([0.0], np.cumsum(steps)))
-        assert np.max(np.abs(rep.columns["w"] - want)) <= 1e-10
+        assert np.max(np.abs(w - want)) <= 1e-10
 
 
 class TestReport:
-    def test_columns_and_summary(self):
+    def test_residuals_and_summary(self):
         cv = catenary_alpha1(CatenaryParams(alpha=1.0, c=2.0, v=0.5, d1=0.3))
         rep = residual_report(cv, 1.0, DirectionSpec(0.5), num=101)
-        assert set(rep.columns) == {
-            "x", "y", "w", "z", "yp", "zp",
-            "kappa_re", "kappa_du", "char_res_re", "char_res_du", "admis_res",
+        assert set(rep.residuals) == {
+            "admissibility", "el_real", "el_dual",
+            "first_integral", "characterization_re", "characterization_du",
         }
         assert len(rep.grid) == 101
         assert rep.c_used == 2.0
+        assert max(rep.max_abs.values()) < 1e-12
+
+    def test_never_reads_w_values(self):
+        # Every residual reads w only through its derivatives, so building
+        # the report must not build a solved or perturbed curve's w table.
+        rep = residual_report(curve_without_w_values(), 1.0, VERTICAL, num=101)
+        assert rep.c_used == pytest.approx(1.0, abs=1e-15)
         assert max(rep.max_abs.values()) < 1e-12
 
     def test_pointwise_matches_scalar_ops(self):
         cv = catenary_alpha_minus1(CatenaryParams(alpha=-1.0, R=1.5, v=0.4, d1=0.2, d2=0.7))
         u = DirectionSpec(0.4)
         rep = residual_report(cv, -1.0, u, num=11)
+        kappa = cv.curvature(rep.grid)
         for i, x in enumerate(rep.grid):
             k = cv.curvature(float(x))
             r = cv.characterization_residual(-1.0, u, float(x))
-            assert rep.columns["kappa_re"][i] == k.re
-            assert rep.columns["kappa_du"][i] == k.du
-            assert rep.columns["char_res_re"][i] == r.re
-            assert rep.columns["char_res_du"][i] == r.du
-            assert rep.columns["admis_res"][i] == cv.admissibility_residual(float(x))
+            assert kappa.re[i] == k.re
+            assert kappa.du[i] == k.du
+            assert rep.residuals["characterization_re"][i] == r.re
+            assert rep.residuals["characterization_du"][i] == r.du
+            assert rep.residuals["admissibility"][i] == cv.admissibility_residual(float(x))
