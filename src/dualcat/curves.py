@@ -91,17 +91,17 @@ def admissible_w(y: Coordinate, z: Coordinate, value: Callable) -> Coordinate:
     )
 
 
-def recover_w(y: Coordinate, z: Coordinate, edges, x0: float, w0: Callable[[], float]) -> Coordinate:
+def recover_w(y: Coordinate, z: Coordinate, edges: Callable, x0: float, w0: Callable[[], float]) -> Coordinate:
     """The admissible w for y and z with ``w(x0) = w0()``.
 
     Values are ``(w0() - F(x0)) + F(x)``, with F one cumulative table of w'
-    over ``edges``.  Table and anchor are built, and w0 is called, when a
-    value is first asked for.
+    over ``edges()``.  Table and anchor are built, and edges and w0 are
+    called, when a value is first asked for.
     """
 
     @cache
     def anchored() -> tuple[quadrature.CumulativeIntegral, float]:
-        table = quadrature.CumulativeIntegral(w.deriv, edges)
+        table = quadrature.CumulativeIntegral(w.deriv, edges())
         return table, float(w0()) - table(x0)
 
     def value(x):
@@ -131,15 +131,17 @@ class Numeric:
 
 @dataclass(frozen=True)
 class Frame:
-    """Unit tangent and normal at a point (or a grid), as dual-plane vectors."""
+    """Unit tangent and normal (dual-plane vectors) and curvature at a point or a grid."""
 
     T: DualVec2
     N: DualVec2
     nu: float  # Euclidean speed sqrt(1 + y'(x)**2)
+    kappa: DualScalar
 
 
 class GraphCurve:
-    """Graph curve ``(x, y(x)) + eps*(w(x), z(x))`` on a closed interval."""
+    """Graph curve ``(x, y(x)) + eps*(w(x), z(x))`` on a closed interval, where
+    y or z may lose smoothness at ``breakpoints``: every integral over it splits there."""
 
     def __init__(
         self,
@@ -148,10 +150,14 @@ class GraphCurve:
         w: Coordinate,
         z: Coordinate,
         source: ClosedForm | Numeric | None = None,
+        breakpoints: tuple[float, ...] = (),
     ):
         a, b = float(domain[0]), float(domain[1])
         if not (np.isfinite(a) and np.isfinite(b)) or a >= b:
             raise InvalidParams(f"domain must be a finite interval with a < b, got ({a}, {b})")
+        self.breakpoints = tuple(map(float, breakpoints))
+        if not all(map(np.isfinite, self.breakpoints)):
+            raise InvalidParams(f"breakpoints must be finite, got {self.breakpoints}")
         self.domain = (a, b)
         self.y = y
         self.w = w
@@ -209,17 +215,13 @@ class GraphCurve:
         n_re = (-yp / nu, 1.0 / nu)
         T = DualVec2(t_re, (zp * n_re[0], zp * n_re[1]))
         N = DualVec2(n_re, (-zp * t_re[0], -zp * t_re[1]))
-        return Frame(T, N, nu)
+        # np.power, not the float operator: points and grids round alike.
+        kappa = DualScalar(_dedim(self.y.deriv2(x)) / _dedim(np.power(nu, 3)), _dedim(self.z.deriv2(x)) / nu)
+        return Frame(T, N, nu, kappa)
 
     def curvature(self, x) -> DualScalar:
         """Signed curvature ``y''/nu**3 + eps*z''/nu`` for an admissible curve."""
-        self._check(x)
-        yp = _dedim(self.y.deriv(x))
-        ypp = _dedim(self.y.deriv2(x))
-        zpp = _dedim(self.z.deriv2(x))
-        nu = _dedim(np.hypot(1.0, yp))
-        # np.power, not the float operator: points and grids round alike.
-        return DualScalar(ypp / _dedim(np.power(nu, 3)), zpp / nu)
+        return self.frame(x).kappa
 
     def characterization_residual(self, alpha: float, u: DirectionSpec, x) -> DualScalar:
         """Residual of the curvature identity ``kappa = alpha*<N,u>/<gamma,u>``.
@@ -229,18 +231,18 @@ class GraphCurve:
         ZeroRealPart when the height ``y(x)`` is zero, or so small (about
         1e-150) that its square underflows.
         """
-        kappa = self.curvature(x)
-        num = dual_dot(self.frame(x).N, u.vector)
-        return kappa - float(alpha) * (num / self.height(u, x))
+        fr = self.frame(x)
+        return fr.kappa - float(alpha) * (dual_dot(fr.N, u.vector) / self.height(u, x))
 
     def _table_edges(self) -> np.ndarray:
         """Start cells for integral tables over the interval: the spline knots
-        of a sampled y inside it, or uniform cells otherwise."""
+        of a sampled y, or uniform cells otherwise, joined by the breakpoints."""
         a, b = self.domain
-        if isinstance(self.y, SampledCoordinate):
-            knots = self.y.grid
-            return np.concatenate(([a], knots[(knots > a) & (knots < b)], [b]))
-        return np.linspace(a, b, quadrature.TABLE_START_CELLS + 1)
+        sampled = isinstance(self.y, SampledCoordinate)
+        knots = self.y.grid if sampled else np.linspace(a, b, quadrature.TABLE_START_CELLS + 1)
+        if self.breakpoints:  # on NumPy 2, np.union1d imports numpy.ma: skip it with nothing to join
+            knots = np.union1d(knots, self.breakpoints)
+        return np.concatenate(([a], knots[(knots > a) & (knots < b)], [b]))
 
     @cached_property
     def _arclength_table(self) -> quadrature.CumulativeIntegral:

@@ -180,7 +180,7 @@ def solve_curve(
     return GraphCurve(
         (lo, hi),
         y_of,
-        recover_w(y_of, z_of, grid, init.x0, lambda: init.w0),
+        recover_w(y_of, z_of, lambda: grid, init.x0, lambda: init.w0),
         z_of,
         Numeric(trunc_l or trunc_r or short),
     )

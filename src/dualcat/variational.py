@@ -62,16 +62,10 @@ def energy(
     u: DirectionSpec,
     alpha: float,
     panels: int = quadrature.PANELS,
-    breakpoints=(),
 ) -> EnergyValue:
-    """Dual potential energy of the curve over its whole interval.
-
-    Extra quadrature breakpoints keep full accuracy when the integrand is
-    only piecewise smooth, as for curves deformed by compactly supported
-    bumps.
-    """
+    """Dual potential energy of the curve, on panels split at its breakpoints."""
     a, b = curve.domain
-    x, wts = quadrature.partitioned_nodes(a, b, breakpoints, panels)
+    x, wts = quadrature.partitioned_nodes(a, b, curve.breakpoints, panels)
     _heights(curve, x)
     pot = curve.height(u, x) ** alpha
     speed = dual_norm(curve.velocity(x))
@@ -234,10 +228,10 @@ def make_constrained_variation(
 ) -> VariationField:
     """Seeded random variation satisfying the admissibility constraint.
 
-    RANDOM_BUMPS bumps are drawn for each component; a fixed central bump
-    added to delta_z absorbs the constraint integral.  When the correction is unsolvable
-    (its denominator vanishes while the constraint does not) the seed is
-    rejected with DegenerateVariation.
+    RANDOM_BUMPS bumps are drawn for each component; a fixed central bump added to delta_z
+    absorbs the constraint integral, which splits at the curve's breakpoints and bump edges.
+    When the correction is unsolvable (its denominator vanishes while the constraint does
+    not) the seed is rejected with DegenerateVariation.
     """
     a, b = curve.domain
     rng = np.random.default_rng(seed)
@@ -245,7 +239,7 @@ def make_constrained_variation(
     dz = _random_bumps(rng, a, b)
     fixer = Bump.central(a, b)
 
-    breaks = dy.edges() + dz.edges() + (fixer.center - fixer.radius, fixer.center + fixer.radius)
+    breaks = curve.breakpoints + dy.edges() + dz.edges() + (fixer.center - fixer.radius, fixer.center + fixer.radius)
     x, wts = quadrature.partitioned_nodes(a, b, breaks, panels)
     yp = np.asarray(curve.y.deriv(x), float)
     zp = np.asarray(curve.z.deriv(x), float)
@@ -270,15 +264,13 @@ def make_constrained_variation(
     return VariationField(dy, corrected, k_final)
 
 
-def perturbed_curve(
-    curve: GraphCurve, delta_y, delta_z, scale: float
-) -> GraphCurve:
+def perturbed_curve(curve: GraphCurve, delta_y: BumpSum, delta_z: BumpSum, scale: float) -> GraphCurve:
     """Deform y and z by ``scale*delta`` and rebuild w from admissibility.
 
-    The rebuilt w has ``w' = -y'*z'`` for the new coordinates, so the result
-    is admissible by construction.  Its values come from one cumulative table
-    of that integrand, anchored at the left endpoint to the original w; table
-    and anchor are built only when a w value is first asked for.
+    The deltas are BumpSums, whose edges join the curve's breakpoints.  The rebuilt w has
+    ``w' = -y'*z'``, so the result is admissible by construction; its values come from one
+    cumulative table of that integrand on the new curve's table edges, anchored at the left
+    endpoint to the original w and built when a w value is first asked for.
     """
     a, _ = curve.domain
     s = float(scale)
@@ -291,8 +283,9 @@ def perturbed_curve(
         )
 
     y2, z2 = moved(curve.y, delta_y), moved(curve.z, delta_z)
-    w = recover_w(y2, z2, curve._table_edges(), a, lambda: curve.w.value(a))
-    return GraphCurve(curve.domain, y2, w, z2, source=None)
+    w = recover_w(y2, z2, lambda: out._table_edges(), a, lambda: curve.w.value(a))
+    out = GraphCurve(curve.domain, y2, w, z2, breakpoints=curve.breakpoints + delta_y.edges() + delta_z.edges())
+    return out
 
 
 def first_variation(
@@ -309,11 +302,12 @@ def first_variation(
     ``dgamma' = (0, delta_y') + eps*(-(y'*delta_z' + z'*delta_y'), delta_z')``.
     The chain rule in the dual algebra gives the integrand
     ``alpha*H**(alpha-1)*dH*|gamma'| + H**alpha*<gamma', dgamma'>/|gamma'|``.
-    Both dual components vanish, to quadrature accuracy, at stationary curves.
+    Both dual components vanish, to quadrature accuracy, at stationary
+    curves.  The panels split at the curve's breakpoints and the bump edges.
     """
     a, b = curve.domain
     dy, dz = var.delta_y, var.delta_z
-    x, wts = quadrature.partitioned_nodes(a, b, dy.edges() + dz.edges(), panels)
+    x, wts = quadrature.partitioned_nodes(a, b, curve.breakpoints + dy.edges() + dz.edges(), panels)
     _heights(curve, x)
     yp, zp = curve.y.deriv(x), curve.z.deriv(x)
     dyp, dzp = dy.deriv(x), dz.deriv(x)

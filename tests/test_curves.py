@@ -43,6 +43,9 @@ class TestBasics:
             GraphCurve((1.0, 1.0), y, y, y)
         with pytest.raises(InvalidParams):
             GraphCurve((2.0, -2.0), y, y, y)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidParams):
+                GraphCurve((-1.0, 1.0), y, y, y, breakpoints=(0.5, bad))
 
     def test_evaluate_components(self):
         cv = catenary_alpha1(CatenaryParams(alpha=1.0, v=1.0))
@@ -105,6 +108,12 @@ def test_w_derivatives_come_from_admissibility(build):
     assert np.all(curve.admissibility_residual(xs) == 0.0)
     assert np.array_equal(curve.w.deriv(xs), -(yp * zp))
     assert np.array_equal(curve.w.deriv2(xs), -(curve.y.deriv2(xs) * zp + yp * curve.z.deriv2(xs)))
+
+
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+def test_only_perturbed_curves_have_breakpoints(build):
+    curve = build()
+    assert bool(curve.breakpoints) == (build is _perturbed_catenary)
 
 
 class TestFrame:
@@ -289,6 +298,17 @@ class TestArcLengthTable:
             cv.arc_length(-1.0, 1.0)
         assert time.perf_counter() - t0 < 1.0
 
+    def test_slope_jump_at_a_breakpoint_builds(self):
+        # The same kink, declared: the cells start there and the rule never
+        # straddles it, so the table converges to the exact length.
+        def slope(x):
+            return np.where(np.asarray(x, dtype=float) < 0.1234567, 0.0, 1.0)
+
+        cv = GraphCurve((-1.0, 1.0), Coordinate(np.zeros_like, slope, np.zeros_like),
+                        Coordinate.constant(0.0), Coordinate.constant(0.0), breakpoints=(0.1234567,))
+        want = 1.1234567 + math.sqrt(2.0) * 0.8765433
+        assert cv.arc_length(-1.0, 1.0) == pytest.approx(want, abs=1e-12)
+
     def test_table_built_once(self):
         calls = []
 
@@ -311,6 +331,11 @@ class TestArcLengthTable:
     def test_solved_curve_starts_from_knots(self):
         cv = solve_curve(0.5, InitialData(0.0, 1.0, 0.0), (-0.75, 0.75), step=0.01)
         assert np.all(np.isin(cv.y.grid, cv._arclength_table.edges))
+
+    def test_perturbed_curve_starts_from_breakpoints(self):
+        cv = _perturbed_catenary()
+        assert len(cv.breakpoints) == 14  # 3 bumps in delta_y, 3 plus the fixer in delta_z
+        assert np.all(np.isin(cv.breakpoints, cv._arclength_table.edges))
 
 
 # Intervals no longer than the merge tolerance, or with breakpoints closer

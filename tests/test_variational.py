@@ -180,8 +180,8 @@ class TestResiduals:
         oracle = -float(np.dot(wts, y**alpha / nu * el * delta.value(xs)))
 
         h = 1e-5
-        ep = energy(perturbed_curve(base, delta, EMPTY, +h), VERTICAL, alpha, breakpoints=delta.edges())
-        em = energy(perturbed_curve(base, delta, EMPTY, -h), VERTICAL, alpha, breakpoints=delta.edges())
+        ep = energy(perturbed_curve(base, delta, EMPTY, +h), VERTICAL, alpha)
+        em = energy(perturbed_curve(base, delta, EMPTY, -h), VERTICAL, alpha)
         fd = (ep.e0 - em.e0) / (2.0 * h)
         assert fd == pytest.approx(oracle, abs=1e-8)
 
@@ -262,7 +262,7 @@ class TestVariations:
             var = make_constrained_variation(cv, seed)
             dy, dz = var.delta_y, var.delta_z
             assert len(dz.bumps) == len(dy.bumps) + 1  # the fixer joined
-            x, wts = partitioned_nodes(a, b, dy.edges() + dz.edges())
+            x, wts = partitioned_nodes(a, b, cv.breakpoints + dy.edges() + dz.edges())
             yp, zp = np.asarray(cv.y.deriv(x), float), np.asarray(cv.z.deriv(x), float)
             assert var.constraint == float(np.dot(wts, yp * dz.deriv(x) + zp * dy.deriv(x)))
 
@@ -306,10 +306,9 @@ class TestVariations:
         for seed in range(5):
             var = make_constrained_variation(cv, seed)
             fv = first_variation(cv, var, u, 1.0)
-            breaks = var.delta_y.edges() + var.delta_z.edges()
             for h in (1e-4, 5e-5):
-                ep = energy(perturbed_curve(cv, var.delta_y, var.delta_z, +h), u, 1.0, breakpoints=breaks)
-                em = energy(perturbed_curve(cv, var.delta_y, var.delta_z, -h), u, 1.0, breakpoints=breaks)
+                ep = energy(perturbed_curve(cv, var.delta_y, var.delta_z, +h), u, 1.0)
+                em = energy(perturbed_curve(cv, var.delta_y, var.delta_z, -h), u, 1.0)
                 fd = (ep.total - em.total) * (0.5 / h)
                 assert abs(fv.re - fd.re) <= 1e-9
                 assert abs(fv.du - fd.du) <= 1e-9
@@ -336,7 +335,7 @@ class TestPerturbedCurve:
     @pytest.mark.parametrize("seed", [0, 5, 11])
     def test_w_bit_identical_to_own_table(self, seed):
         # The w that perturbed_curve once built with its own closure: a
-        # table of -y'*z' on the base curve's table edges, plus w(a).
+        # table of -y'*z' on the perturbed curve's table edges, plus w(a).
         cv = catenary_alpha1(CatenaryParams(alpha=1.0, c=1.3, v=0.8, d1=0.4, d2=-0.3, d3=0.2))
         var = make_constrained_variation(cv, seed)
         pert = perturbed_curve(cv, var.delta_y, var.delta_z, 0.05)
@@ -348,7 +347,7 @@ class TestPerturbedCurve:
         def w_d2(x):
             return -(pert.y.deriv2(x) * pert.z.deriv(x) + pert.y.deriv(x) * pert.z.deriv2(x))
 
-        table = quadrature.CumulativeIntegral(w_d1, cv._table_edges())
+        table = quadrature.CumulativeIntegral(w_d1, pert._table_edges())
         w0 = float(cv.w.value(a))
         xs = np.random.default_rng(seed).uniform(*cv.domain, 501)
         assert np.array_equal(pert.w.value(xs), w0 + table(xs))
@@ -358,7 +357,7 @@ class TestPerturbedCurve:
     def test_report_w_column_from_one_table(self):
         base = closed_form(CatenaryParams(alpha=1.0, c=1.3, v=0.8, d1=0.4))
         t0 = time.perf_counter()
-        pert = perturbed_curve(base, Bump(0.0, 0.6), EMPTY, 0.1)
+        pert = perturbed_curve(base, BumpSum((Bump(0.0, 0.6),), (1.0,)), EMPTY, 0.1)
         rep = residual_report(pert, 1.0, DirectionSpec(0.8))
         w = pert.w.value(rep.grid)
         assert time.perf_counter() - t0 < 0.05
@@ -367,6 +366,53 @@ class TestPerturbedCurve:
                  for lo, hi in zip(rep.grid[:-1], rep.grid[1:])]
         want = base.w.value(a) + np.concatenate(([0.0], np.cumsum(steps)))
         assert np.max(np.abs(w - want)) <= 1e-10
+
+
+def bumped_catenary() -> tuple[GraphCurve, tuple[float, ...]]:
+    """A catenary deformed by bumps in y and z, with those bumps' edges,
+    which the reference computations below split at by hand."""
+    base = catenary_alpha1(CatenaryParams(alpha=1.0, c=1.3, v=0.3, d1=0.4))
+    dy = BumpSum((Bump(-0.27, 0.35), Bump(0.41, 0.25)), (0.06, -0.04))
+    dz = BumpSum((Bump(0.13, 0.3),), (0.05,))
+    return perturbed_curve(base, dy, dz, 1.0), dy.edges() + dz.edges()
+
+
+class TestCurveBreakpoints:
+    # The references run on 20000 panels, which are accurate to about 1e-14
+    # whether or not they split at the bump edges.
+    U = DirectionSpec(0.3)
+
+    def test_energy_splits_at_the_bumps(self):
+        cv, _ = bumped_catenary()
+        got = energy(cv, self.U, 1.0)
+        want = energy(cv, self.U, 1.0, panels=20000)
+        assert abs(got.e0 - want.e0) <= 1e-13
+        assert abs(got.e1 - want.e1) <= 1e-13
+        assert abs(got.total.du - want.total.du) <= 1e-13
+
+    def test_energy_takes_them_from_the_curve_only(self):
+        cv, edges = bumped_catenary()
+        assert cv.breakpoints == edges
+        with pytest.raises(TypeError):
+            energy(cv, self.U, 1.0, breakpoints=edges)
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_first_variation_splits_at_the_bumps(self, seed):
+        cv, _ = bumped_catenary()
+        var = make_constrained_variation(cv, seed)
+        got = first_variation(cv, var, self.U, 1.0)
+        want = first_variation(cv, var, self.U, 1.0, panels=20000)
+        assert abs(got.re - want.re) <= 1e-12
+        assert abs(got.du - want.du) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_constraint_holds_on_the_split_rule(self, seed):
+        cv, edges = bumped_catenary()
+        var = make_constrained_variation(cv, seed)
+        dy, dz = var.delta_y, var.delta_z
+        x, wts = partitioned_nodes(*cv.domain, edges + dy.edges() + dz.edges())
+        k = float(np.dot(wts, cv.y.deriv(x) * dz.deriv(x) + cv.z.deriv(x) * dy.deriv(x)))
+        assert abs(k) <= 1e-12
 
 
 class TestReport:
