@@ -304,8 +304,8 @@ def cmd_variation(args) -> int:
     u = DirectionSpec(args.v)
     tol = args.tol if args.tol is not None else VARIATION_TOL
     abs_re, abs_du = [], []
-    # On a very short domain the slopes of the --perturb bump overflow: dE is
-    # then inf or NaN, and the gate below fails it.
+    # On a very short domain the bump slopes overflow: a constraint integral
+    # that overflows raises, and an inf or NaN dE fails the gate below.
     for i in range(args.count):
         var = None
         for attempt in range(VARIATION_RETRIES):

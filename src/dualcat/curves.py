@@ -99,17 +99,31 @@ def recover_w(y: Coordinate, z: Coordinate, edges: Callable, x0: float, w0: Call
     called, when a value is first asked for.
     """
 
+    # The table's integrand comes from a w of its own, so w's values do not
+    # reach back to w: no reference cycle keeps the curve alive.
+    slopes = admissible_w(y, z, None)
+
     @cache
     def anchored() -> tuple[quadrature.CumulativeIntegral, float]:
-        table = quadrature.CumulativeIntegral(w.deriv, edges())
+        table = quadrature.CumulativeIntegral(slopes.deriv, edges())
         return table, float(w0()) - table(x0)
 
     def value(x):
         table, offset = anchored()
         return _dedim(offset + table(x))
 
-    w = admissible_w(y, z, value)
-    return w
+    return Coordinate(value, slopes.deriv, slopes.deriv2)
+
+
+def table_edges(domain: tuple[float, float], y: Coordinate, breakpoints: tuple[float, ...]) -> np.ndarray:
+    """Start cells for integral tables over the interval: the spline knots
+    of a sampled y, or uniform cells otherwise, joined by the breakpoints."""
+    a, b = domain
+    sampled = isinstance(y, SampledCoordinate)
+    knots = y.grid if sampled else np.linspace(a, b, quadrature.TABLE_START_CELLS + 1)
+    if breakpoints:
+        knots = np.array(quadrature.sorted_unique([*knots, *breakpoints]))
+    return np.concatenate(([a], knots[(knots > a) & (knots < b)], [b]))
 
 
 @dataclass(frozen=True)
@@ -235,14 +249,7 @@ class GraphCurve:
         return fr.kappa - float(alpha) * (dual_dot(fr.N, u.vector) / self.height(u, x))
 
     def _table_edges(self) -> np.ndarray:
-        """Start cells for integral tables over the interval: the spline knots
-        of a sampled y, or uniform cells otherwise, joined by the breakpoints."""
-        a, b = self.domain
-        sampled = isinstance(self.y, SampledCoordinate)
-        knots = self.y.grid if sampled else np.linspace(a, b, quadrature.TABLE_START_CELLS + 1)
-        if self.breakpoints:  # on NumPy 2, np.union1d imports numpy.ma: skip it with nothing to join
-            knots = np.union1d(knots, self.breakpoints)
-        return np.concatenate(([a], knots[(knots > a) & (knots < b)], [b]))
+        return table_edges(self.domain, self.y, self.breakpoints)
 
     @cached_property
     def _arclength_table(self) -> quadrature.CumulativeIntegral:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -36,20 +36,38 @@ def gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
+def sorted_unique(values) -> list[float]:
+    """The distinct values in ascending order, as floats: what np.unique gives,
+    without the import of numpy.ma that np.unique makes on NumPy 2."""
+    return sorted(set(map(float, values)))
+
+
 def partitioned_nodes(a: float, b: float, breakpoints, panels: int = PANELS) -> tuple[np.ndarray, np.ndarray]:
     """Composite rule whose panel edges include the given breakpoints.
 
     Piecewise-smooth integrands (bump test functions, say) lose orders of
     accuracy when a panel straddles a smoothness edge; splitting the interval
     at the breakpoints restores full Gauss accuracy on every piece.  Each
-    piece gets panels proportional to its width, at least one.
+    piece gets panels proportional to its width, at least one.  The last rule
+    built is kept: a variation's constraint and its first variation ask for
+    the same one.  The arrays are therefore shared, and read-only.
     """
+    return _partition(a, b, tuple(breakpoints), panels)
+
+
+@lru_cache(maxsize=1)
+def _partition(a: float, b: float, breakpoints: tuple, panels: int) -> tuple[np.ndarray, np.ndarray]:
     span = b - a
     tol = 1e-12 * max(1.0, span)
-    # Breakpoints closer than tol to an end or to the previous edge are
+    # Breakpoints closer than tol to an end or to the previous breakpoint are
     # dropped; a and b always stay, however short the interval.
-    pts = np.unique(np.asarray([p for p in breakpoints if a + tol < p < b - tol], dtype=float))
-    edges = np.concatenate(([a], pts[np.diff(pts, prepend=a) > tol], [b]))
+    edges, prev = [a], a
+    for p in sorted_unique(p for p in breakpoints if a + tol < p < b - tol):
+        if p - prev > tol:
+            edges.append(p)
+        prev = p
+    edges.append(b)
+    edges = np.array(edges, dtype=float)
     lo, hi = edges[:-1], edges[1:]
     n = np.maximum(1, np.ceil(panels * (hi - lo) / span).astype(int))
     # Panel k of a piece spans [k*step + lo, (k+1)*step + lo], the last one
@@ -62,7 +80,10 @@ def partitioned_nodes(a: float, b: float, breakpoints, panels: int = PANELS) -> 
     right = (k + 1) * step + start
     right[ends - 1] = hi
     nodes, half, w = _panel_nodes(left, right)
-    return nodes.ravel(), (half[:, None] * w).ravel()
+    x, wts = nodes.ravel(), (half[:, None] * w).ravel()
+    x.setflags(write=False)
+    wts.setflags(write=False)
+    return x, wts
 
 
 def _panel_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import quadrature
-from .curves import ClosedForm, Coordinate, GraphCurve, recover_w
+from .curves import ClosedForm, Coordinate, GraphCurve, recover_w, table_edges
 from .dual import DirectionSpec, DualScalar, DualVec2, dual_dot, dual_norm
 from .errors import DegenerateVariation, DomainError, InvalidParams, NumericalFailure
 
@@ -48,13 +49,28 @@ class EnergyValue:
     e1: float
 
 
+def _positive(y) -> np.ndarray:
+    """Heights y, required finite and positive."""
+    y = np.asarray(y, dtype=float)
+    # NaN fails both comparisons.
+    if not ((y > 0.0) & (y < np.inf)).all():
+        raise DomainError("curve height must stay positive and finite at the evaluation points")
+    return y
+
+
 def _heights(curve: GraphCurve, x) -> np.ndarray:
     """Heights y(x) at points of the curve's interval, required finite and positive."""
     curve._check(x)
-    y = np.asarray(curve.y.value(x), dtype=float)
-    if np.any(y <= 0.0) or not np.all(np.isfinite(y)):
-        raise DomainError("curve height must stay positive and finite at the evaluation points")
-    return y
+    return _positive(curve.y.value(x))
+
+
+def _dual_height(curve: GraphCurve, u: DirectionSpec, x) -> DualScalar:
+    """Dual height ``<gamma, u>`` at points of the curve's interval, its real
+    part required finite and positive: the interval is checked and y
+    evaluated once."""
+    height = curve.height(u, x)
+    _positive(height.re)
+    return height
 
 
 def energy(
@@ -66,8 +82,7 @@ def energy(
     """Dual potential energy of the curve, on panels split at its breakpoints."""
     a, b = curve.domain
     x, wts = quadrature.partitioned_nodes(a, b, curve.breakpoints, panels)
-    _heights(curve, x)
-    pot = curve.height(u, x) ** alpha
+    pot = _dual_height(curve, u, x) ** alpha
     speed = dual_norm(curve.velocity(x))
     integrand = pot * speed
     e0 = float(np.dot(wts, integrand.re))
@@ -137,7 +152,8 @@ def multiplier_residual(curve: GraphCurve, alpha: float, c: float, x):
 
 @dataclass(frozen=True)
 class Bump:
-    """Polynomial bump ``(1 - t**2)**3`` on ``|x - center| < radius``.
+    """Support of one polynomial bump ``(1 - t**2)**3``, ``t = (x - center)/radius``,
+    on ``|x - center| < radius``; BumpSum evaluates it.
 
     Twice continuously differentiable across the support edges, which keeps
     fixed-panel quadrature of bump integrands well behaved.
@@ -151,39 +167,91 @@ class Bump:
         """The bump centred on [a, b] with radius 0.3 of its width."""
         return cls(0.5 * (a + b), 0.3 * (b - a))
 
-    def _ts(self, x):
-        """Scaled offset ``t`` and ``s = max(0, 1 - t**2)`` at x."""
-        t = (np.asarray(x, dtype=float) - self.center) / self.radius
-        return t, np.maximum(0.0, 1.0 - t * t)
-
-    def value(self, x):
-        _, s = self._ts(x)
-        return s**3
-
-    def deriv(self, x):
-        t, s = self._ts(x)
-        return -6.0 * t * s * s / self.radius
-
-    def deriv2(self, x):
-        t, s = self._ts(x)
-        return 6.0 * s * (5.0 * t * t - 1.0) / self.radius**2
-
 
 @dataclass(frozen=True)
 class BumpSum:
-    """Linear combination of bumps, used as a compactly supported test function."""
+    """Linear combination of bumps, used as a compactly supported test function.
+
+    All bumps are evaluated in one pass over a ``(bumps, points)`` array whose
+    rows are then summed in order, starting from 0 as ``sum`` over the bumps
+    would.  x may be a float or an array of any shape; a float gives an
+    np.float64.
+    """
 
     bumps: tuple[Bump, ...]
     coeffs: tuple[float, ...]
 
+    def __post_init__(self):
+        if len(self.bumps) != len(self.coeffs):
+            raise InvalidParams(f"{len(self.bumps)} bumps but {len(self.coeffs)} coefficients")
+        for b in self.bumps:
+            if not (math.isfinite(b.center) and 0.0 < b.radius < math.inf):
+                raise InvalidParams(f"a bump needs a finite centre and a positive finite radius, got {b}")
+        if not all(map(math.isfinite, self.coeffs)):
+            raise InvalidParams(f"bump coefficients must be finite, got {self.coeffs}")
+
+    @cached_property
+    def _cols(self) -> tuple[np.ndarray, ...]:
+        """Centres, radii and coefficients, each a (bumps, 1) column."""
+        rows = [[b.center for b in self.bumps], [b.radius for b in self.bumps], self.coeffs]
+        return tuple(np.array(rows, dtype=float)[:, :, None])
+
     def value(self, x):
-        return sum(a * b.value(x) for a, b in zip(self.coeffs, self.bumps))
+        [[out]] = self._eval(x, "value")
+        return out
 
     def deriv(self, x):
-        return sum(a * b.deriv(x) for a, b in zip(self.coeffs, self.bumps))
+        [[out]] = self._eval(x, "deriv")
+        return out
 
     def deriv2(self, x):
-        return sum(a * b.deriv2(x) for a, b in zip(self.coeffs, self.bumps))
+        [[out]] = self._eval(x, "deriv2")
+        return out
+
+    @staticmethod
+    def _evaluate(x, sums: tuple["BumpSum", ...], *kinds: str) -> list[list]:
+        """For each kind ("value", "deriv" or "deriv2"), every BumpSum's values
+        at x, bit for bit as their own methods give them, from one pass over
+        all their bumps."""
+        joined = BumpSum(sum((bs.bumps for bs in sums), ()), sum((bs.coeffs for bs in sums), ()))
+        return joined._eval(x, *kinds, sizes=[len(bs.bumps) for bs in sums])
+
+    def _eval(self, x, *kinds: str, sizes=None) -> list:
+        """Per kind, the sums of ``coeff * bump`` rows at x over consecutive
+        groups of ``sizes`` bumps (one group of all of them by default)."""
+        x = np.asarray(x, dtype=float)
+        groups, end = [], 0
+        for n in [len(self.bumps)] if sizes is None else sizes:
+            groups.append(slice(end, end + n))
+            end += n
+        zero = np.zeros(x.size)
+        if not self.bumps:
+            return [[zero.reshape(x.shape)[()]] * len(groups) for _ in kinds]
+        center, radius, coeff = self._cols
+        t = (x.reshape(-1) - center) / radius
+        s = np.maximum(0.0, 1.0 - t * t)
+        out = []
+        for kind in kinds:
+            if kind == "value":
+                # The power only where s is not 0 (0**3 is 0), and for a lone
+                # point the scalar power, which NumPy's array power (it can
+                # take a SIMD path) does not always match.
+                if x.ndim:
+                    rows = np.power(s, 3, out=np.zeros_like(s), where=s != 0.0)
+                else:
+                    rows = np.reshape([v**3 for v in s.ravel()], s.shape)
+            elif kind == "deriv":
+                rows = -6.0 * t * s * s / radius
+            elif kind == "deriv2":
+                # Each radius squared alone, by Python's power, as the
+                # per-bump formula squares it.
+                radius2 = np.array([[b.radius**2] for b in self.bumps])
+                rows = 6.0 * s * (5.0 * t * t - 1.0) / radius2
+            else:
+                raise ValueError(f"unknown kind {kind!r}")
+            rows = coeff * rows
+            out.append([sum(rows[g], zero).reshape(x.shape)[()] for g in groups])
+        return out
 
     def with_bump(self, coeff: float, bump: Bump) -> "BumpSum":
         return BumpSum(self.bumps + (bump,), self.coeffs + (coeff,))
@@ -210,16 +278,23 @@ class VariationField:
     constraint: float
 
 
+def _uniform(u: float, low: float, high: float) -> float:
+    """``rng.uniform(low, high)`` from the unit deviate u it draws."""
+    return low + (high - low) * u
+
+
 def _random_bumps(rng: np.random.Generator, a: float, b: float) -> BumpSum:
     span = b - a
     bumps = []
     coeffs = []
-    for _ in range(RANDOM_BUMPS):
-        radius = span * rng.uniform(0.08, 0.20)
+    # One draw of the deviates that RANDOM_BUMPS rounds of rng.uniform calls
+    # (radius, centre, coefficient) would take, in their order.
+    for u_r, u_c, u_k in rng.random((RANDOM_BUMPS, 3)).tolist():
+        radius = span * _uniform(u_r, 0.08, 0.20)
         lo = a + radius + 0.02 * span
         hi = b - radius - 0.02 * span
-        bumps.append(Bump(rng.uniform(lo, hi), radius))
-        coeffs.append(rng.uniform(-VARIATION_AMP, VARIATION_AMP))
+        bumps.append(Bump(_uniform(u_c, lo, hi), radius))
+        coeffs.append(_uniform(u_k, -VARIATION_AMP, VARIATION_AMP))
     return BumpSum(tuple(bumps), tuple(coeffs))
 
 
@@ -231,22 +306,25 @@ def make_constrained_variation(
     RANDOM_BUMPS bumps are drawn for each component; a fixed central bump added to delta_z
     absorbs the constraint integral, which splits at the curve's breakpoints and bump edges.
     When the correction is unsolvable (its denominator vanishes while the constraint does
-    not) the seed is rejected with DegenerateVariation.
+    not) the seed is rejected with DegenerateVariation; when either integral overflows,
+    as the slopes of a bump on a very short interval can make it, NumericalFailure is raised.
     """
     a, b = curve.domain
     rng = np.random.default_rng(seed)
     dy = _random_bumps(rng, a, b)
     dz = _random_bumps(rng, a, b)
-    fixer = Bump.central(a, b)
+    fixer = BumpSum((Bump.central(a, b),), (1.0,))
 
-    breaks = curve.breakpoints + dy.edges() + dz.edges() + (fixer.center - fixer.radius, fixer.center + fixer.radius)
+    breaks = curve.breakpoints + dy.edges() + dz.edges() + fixer.edges()
     x, wts = quadrature.partitioned_nodes(a, b, breaks, panels)
     yp = np.asarray(curve.y.deriv(x), float)
     zp = np.asarray(curve.z.deriv(x), float)
-    dyp, dzp, fp = dy.deriv(x), dz.deriv(x), fixer.deriv(x)
+    dyp, dzp, fp = BumpSum._evaluate(x, (dy, dz, fixer), "deriv")[0]
 
     k_raw = float(np.dot(wts, yp * dzp + zp * dyp))
     denom = float(np.dot(wts, yp * fp))
+    if not (math.isfinite(k_raw) and math.isfinite(denom)):
+        raise NumericalFailure(f"seed {seed}: constraint integral {k_raw:.3e} or its correction {denom:.3e} is not finite")
 
     if abs(denom) < FIXER_DENOM_MIN:
         if abs(k_raw) > CONSTRAINT_NEGLIGIBLE:
@@ -256,7 +334,7 @@ def make_constrained_variation(
         corrected = dz
     else:
         coeff = -k_raw / denom
-        corrected = dz.with_bump(coeff, fixer)
+        corrected = dz.with_bump(coeff, fixer.bumps[0])
         # corrected.deriv(x) bit for bit: BumpSum sums in order, fixer last.
         dzp = dzp + coeff * fp
 
@@ -283,9 +361,11 @@ def perturbed_curve(curve: GraphCurve, delta_y: BumpSum, delta_z: BumpSum, scale
         )
 
     y2, z2 = moved(curve.y, delta_y), moved(curve.z, delta_z)
-    w = recover_w(y2, z2, lambda: out._table_edges(), a, lambda: curve.w.value(a))
-    out = GraphCurve(curve.domain, y2, w, z2, breakpoints=curve.breakpoints + delta_y.edges() + delta_z.edges())
-    return out
+    breaks = curve.breakpoints + delta_y.edges() + delta_z.edges()
+    # The edges are those of the new curve, computed without it: w holding
+    # the curve it belongs to would be a reference cycle.
+    w = recover_w(y2, z2, lambda: table_edges(curve.domain, y2, breaks), a, lambda: curve.w.value(a))
+    return GraphCurve(curve.domain, y2, w, z2, breakpoints=breaks)
 
 
 def first_variation(
@@ -308,14 +388,13 @@ def first_variation(
     a, b = curve.domain
     dy, dz = var.delta_y, var.delta_z
     x, wts = quadrature.partitioned_nodes(a, b, curve.breakpoints + dy.edges() + dz.edges(), panels)
-    _heights(curve, x)
+    height = _dual_height(curve, u, x)
     yp, zp = curve.y.deriv(x), curve.z.deriv(x)
-    dyp, dzp = dy.deriv(x), dz.deriv(x)
-    height = curve.height(u, x)
+    (dyv, dzv), (dyp, dzp) = BumpSum._evaluate(x, (dy, dz), "value", "deriv")
     vel = DualVec2((1.0, yp), (-yp * zp, zp))
     dvel = DualVec2((0.0, dyp), (-(yp * dzp + zp * dyp), dzp))
     speed = dual_norm(vel)
-    d_height = DualScalar(dy.value(x), dz.value(x))
+    d_height = DualScalar(dyv, dzv)
     integrand = alpha * height ** (alpha - 1.0) * d_height * speed + height**alpha * dual_dot(vel, dvel) / speed
     return DualScalar(float(np.dot(wts, integrand.re)), float(np.dot(wts, integrand.du)))
 

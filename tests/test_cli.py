@@ -404,6 +404,81 @@ class TestVariation:
         assert code == 1
         assert "result                 FAIL" in out
 
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            (
+                ("--alpha", "0.5", "--solve", "--domain=-0.75:0.75", "--perturb", "0.05"),
+                [
+                    "seed 0: dE = -0.0026777478816315307 + -0.015835577259747068 eps",
+                    "seed 1: dE = 0.002935768337682648 + -0.015756919273852525 eps",
+                    "max_abs_re             0.002935768337682648",
+                    "max_abs_du             0.015835577259747068",
+                ],
+            ),
+            (
+                ("--alpha", "-1", "--R", "2", "--v", "0.5", "--perturb", "0.03"),
+                [
+                    "seed 0: dE = -0.00021032404020402532 + 0.00057138846987532976 eps",
+                    "seed 1: dE = 0.0002726126379326687 + 0.00090514467057887236 eps",
+                    "max_abs_re             0.0002726126379326687",
+                    "max_abs_du             0.00090514467057887236",
+                ],
+            ),
+        ],
+        ids=["solved", "alpha-1"],
+    )
+    def test_pinned_perturbed_output(self, capsys, argv, lines):
+        # Perturbed curves evaluate bump sums inside y and z as well.
+        lines = lines + ["tolerance              1.0000000000000001e-05", "result                 FAIL"]
+        got = run_cli(capsys, "variation", *argv, "--count", "2")
+        assert got == (1, "\n".join(lines) + "\n", "")
+
+    @pytest.mark.parametrize(
+        "argv, builds", [(("--alpha", "1"), 3), (("--alpha", "0", "--c", "1.5", "--m", "2"), 6)], ids=["alpha1", "alpha0"]
+    )
+    def test_one_node_set_per_seed(self, capsys, argv, builds):
+        # The first variation reuses the constraint's nodes when the fixer
+        # bump joined delta_z; at exponent 0 its denominator vanishes, the
+        # fixer stays out and each seed builds a second node set.
+        quadrature._partition.cache_clear()
+        code, _, _ = run_cli(capsys, "variation", *argv, "--count", "3")
+        info = quadrature._partition.cache_info()
+        assert code == 0
+        assert (info.misses, info.hits + info.misses) == (builds, 6)
+
+    def test_overflowing_constraint_is_an_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "variation", "--alpha", "1", "--perturb", "0.1", "--domain=-1e-300:1e-300", "--count", "1"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: seed 0: constraint integral") and err.count("\n") == 1
+
+
+def test_variation_and_energy_leave_numpy_ma_unloaded():
+    # np.unique and np.union1d import numpy.ma on NumPy 2 (about 1.2 MB).
+    script = """
+import contextlib, io, sys
+import numpy
+preloaded = "numpy.ma" in sys.modules
+import dualcat
+from dualcat.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["energy", "--alpha", "1"])
+    main(["variation", "--alpha", "1", "--count", "2"])
+    main(["variation", "--alpha", "1", "--count", "2", "--perturb", "0.1"])
+bump = dualcat.BumpSum((dualcat.Bump(0.0, 0.6),), (1.0,))
+base = dualcat.closed_form(dualcat.CatenaryParams(alpha=1.0, v=1.0))
+dualcat.perturbed_curve(base, bump, bump, 0.1).w.value(0.2)
+print(preloaded, "numpy.ma" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    preloaded, loaded = proc.stdout.split()
+    if preloaded == "True":
+        pytest.skip("this NumPy imports numpy.ma with numpy itself")
+    assert loaded == "False"
+
 
 class TestErrors:
     @pytest.mark.parametrize(

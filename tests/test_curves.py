@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dualcat import quadrature
+from dualcat.curves import table_edges
 from dualcat import (
     CatenaryParams,
     Coordinate,
@@ -336,6 +337,21 @@ class TestArcLengthTable:
         cv = _perturbed_catenary()
         assert len(cv.breakpoints) == 14  # 3 bumps in delta_y, 3 plus the fixer in delta_z
         assert np.all(np.isin(cv.breakpoints, cv._arclength_table.edges))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_edges_join_knots_and_breakpoints_as_union1d(self, seed):
+        # The np.union1d construction the edges were built with before.
+        rng = np.random.default_rng(seed)
+        solved = solve_curve(0.5, InitialData(0.0, 1.0, 0.0), (-0.75, 0.75), step=0.01)
+        for y, (a, b) in ((Coordinate(np.cosh, np.sinh, np.cosh), (-1.0, 1.0)), (solved.y, solved.domain)):
+            knots = y.grid if y is solved.y else np.linspace(a, b, quadrature.TABLE_START_CELLS + 1)
+            pts = rng.uniform(a - 0.2, b + 0.2, 12)
+            breaks = tuple(np.concatenate((pts, pts[:3], knots[5:8], [a, b])))
+            union = np.union1d(knots, breaks)
+            want = np.concatenate(([a], union[(union > a) & (union < b)], [b]))
+            got = table_edges((a, b), y, breaks)
+            assert np.array_equal(got, want)
+            assert np.array_equal(table_edges((a, b), y, ()), np.concatenate(([a], knots[1:-1], [b])))
 
 
 # Intervals no longer than the merge tolerance, or with breakpoints closer

@@ -1,7 +1,9 @@
 """Energy, Euler-Lagrange residuals, constrained variations."""
 
+import gc
 import math
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from dualcat import (
     DirectionSpec,
     DomainError,
     GraphCurve,
+    InitialData,
     InvalidParams,
     NumericalFailure,
     VariationField,
@@ -33,8 +36,9 @@ from dualcat import (
     multiplier_residual,
     perturbed_curve,
     residual_report,
+    solve_curve,
 )
-from dualcat import quadrature
+from dualcat import quadrature, variational
 from dualcat.quadrature import partitioned_nodes
 
 VERTICAL = DirectionSpec(0.0)
@@ -413,6 +417,190 @@ class TestCurveBreakpoints:
         x, wts = partitioned_nodes(*cv.domain, edges + dy.edges() + dz.edges())
         k = float(np.dot(wts, cv.y.deriv(x) * dz.deriv(x) + cv.z.deriv(x) * dy.deriv(x)))
         assert abs(k) <= 1e-12
+
+
+def per_bump_sum(bumps, coeffs, x, part):
+    """``sum(a * bump(x))`` with each bump evaluated alone: the reference that
+    BumpSum's one pass over all bumps must match bit for bit."""
+
+    def one(b):
+        t = (np.asarray(x, dtype=float) - b.center) / b.radius
+        s = np.maximum(0.0, 1.0 - t * t)
+        if part == "value":
+            return s**3
+        if part == "deriv":
+            return -6.0 * t * s * s / b.radius
+        return 6.0 * s * (5.0 * t * t - 1.0) / b.radius**2
+
+    return sum(a * one(b) for a, b in zip(coeffs, bumps))
+
+
+def same_bits(got, want) -> bool:
+    """Equal shapes and equal float64 bit patterns, so -0.0 and 0.0 differ."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestBumpSum:
+    BUMPS = (Bump(-0.27, 0.35), Bump(0.41, 0.25), Bump(0.13, 0.3), Bump(0.0, 0.6))
+    COEFFS = (0.06, -0.04, 0.05, -0.0123)
+    ENDS = [p for b in BUMPS for p in (b.center - b.radius, b.center, b.center + b.radius)]
+    # Inside, on and just beyond every support end, and far outside.
+    POINTS = np.concatenate(
+        (np.linspace(-1.5, 1.5, 61), ENDS, np.nextafter(ENDS, np.inf), np.nextafter(ENDS, -np.inf))
+    )
+
+    @pytest.mark.parametrize("part", ["value", "deriv", "deriv2"])
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    def test_arrays_match_the_per_bump_sum(self, part, k):
+        bs = BumpSum(self.BUMPS[:k], self.COEFFS[:k])
+        pts = self.POINTS
+        rng = np.random.default_rng(k)
+        grid = rng.permutation(np.concatenate((pts, pts[:3])))[: 8 * 6].reshape(8, 6)
+        for x in (pts, grid, pts[:1], pts[::-3]):
+            got = getattr(bs, part)(x)
+            assert isinstance(got, np.ndarray)
+            assert same_bits(got, per_bump_sum(bs.bumps, bs.coeffs, x, part))
+
+    @pytest.mark.parametrize("part", ["value", "deriv", "deriv2"])
+    def test_points_match_the_per_bump_sum(self, part):
+        bs = BumpSum(self.BUMPS, self.COEFFS)
+        for p in self.POINTS:
+            for x in (float(p), np.asarray(p)):
+                got = getattr(bs, part)(x)
+                assert type(got) is np.float64
+                assert same_bits(got, per_bump_sum(bs.bumps, bs.coeffs, x, part))
+
+    def test_joint_pass_matches_each_sum(self):
+        sums = (BumpSum(self.BUMPS[:2], self.COEFFS[:2]), EMPTY, BumpSum(self.BUMPS[2:], self.COEFFS[2:]))
+        kinds = ("value", "deriv", "deriv2")
+        for x in (self.POINTS, 0.13, self.POINTS[:96].reshape(-1, 6)):
+            got = BumpSum._evaluate(x, sums, *kinds)
+            assert len(got) == 3 and all(len(per_sum) == 3 for per_sum in got)
+            for kind, per_sum in zip(kinds, got):
+                for bs, value in zip(sums, per_sum):
+                    assert same_bits(value, getattr(bs, kind)(x))
+
+    def test_empty_sum_is_zero_shaped_like_x(self):
+        for x in (0.3, np.asarray(0.3), self.POINTS, self.POINTS[:96].reshape(-1, 6)):
+            for part in ("value", "deriv", "deriv2"):
+                got = getattr(EMPTY, part)(x)
+                assert same_bits(got, np.zeros(np.shape(x)))
+                assert per_bump_sum((), (), x, part) == 0
+
+    def test_support_ends_are_flat(self):
+        bs = BumpSum(self.BUMPS, self.COEFFS)
+        far = np.array([-1.5, 1.5])
+        for part in ("value", "deriv", "deriv2"):
+            assert same_bits(getattr(bs, part)(far), np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "bumps, coeffs",
+        [
+            ((Bump(0.0, 0.5), Bump(0.2, 0.3)), (1.0,)),  # the second bump would be dropped
+            ((Bump(0.0, 0.5),), (1.0, 2.0)),
+            ((Bump(math.nan, 0.5),), (1.0,)),
+            ((Bump(math.inf, 0.5),), (1.0,)),
+            ((Bump(0.0, 0.0),), (1.0,)),  # evaluates to NaN
+            ((Bump(0.0, -0.5),), (1.0,)),
+            ((Bump(0.0, math.inf),), (1.0,)),
+            ((Bump(0.0, math.nan),), (1.0,)),
+            ((Bump(0.0, 0.5),), (math.nan,)),
+            ((Bump(0.0, 0.5),), (-math.inf,)),
+        ],
+    )
+    def test_rejects_bad_input(self, bumps, coeffs):
+        with pytest.raises(InvalidParams):
+            BumpSum(bumps, coeffs)
+        if len(bumps) == len(coeffs) == 1:
+            with pytest.raises(InvalidParams):
+                EMPTY.with_bump(coeffs[0], bumps[0])
+
+
+def uniform_call_bumps(rng, a, b):
+    """The seeded bumps drawn by one ``rng.uniform`` call per value, the
+    reference for the single draw of all their deviates."""
+    span = b - a
+    bumps, coeffs = [], []
+    for _ in range(3):
+        radius = span * rng.uniform(0.08, 0.20)
+        bumps.append(Bump(rng.uniform(a + radius + 0.02 * span, b - radius - 0.02 * span), radius))
+        coeffs.append(rng.uniform(-0.05, 0.05))
+    return bumps, coeffs
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_seeded_bumps_match_uniform_calls(chunk):
+    # On a NumPy whose uniform fused its multiply-add, the seeded variations
+    # (and the pinned outputs) would move by rounding; this would fail first.
+    domains = np.random.default_rng(chunk).uniform(-5.0, 5.0, (500, 2))
+    for seed, (a, w) in enumerate(domains, start=500 * chunk):
+        a, b = float(a), float(a + 10.0 ** (w / 2.5))
+        got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):
+            drawn = variational._random_bumps(got, a, b)
+            bumps, coeffs = uniform_call_bumps(want, a, b)
+            assert drawn.bumps == tuple(bumps) and drawn.coeffs == tuple(coeffs)
+
+
+class TestNodeSets:
+    def test_repeated_rule_is_shared_and_read_only(self):
+        x, w = partitioned_nodes(-1.0, 1.0, (0.3, -0.2), 16)
+        again = partitioned_nodes(-1.0, 1.0, [0.3, -0.2], 16)
+        assert again[0] is x and again[1] is w
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert partitioned_nodes(-1.0, 1.0, (0.3,), 16)[0] is not x
+
+    @pytest.mark.parametrize(
+        "cv, fixer_joins",
+        [
+            (catenary_alpha1(CatenaryParams(alpha=1.0, c=1.3, v=0.3, d1=0.4)), True),
+            (catenary_alpha0(CatenaryParams(alpha=0.0, c=1.5, m=2.0)), False),
+        ],
+        ids=["alpha1", "alpha0"],
+    )
+    def test_variation_reuses_the_constraint_nodes(self, cv, fixer_joins):
+        for seed in range(3):
+            quadrature._partition.cache_clear()
+            var = make_constrained_variation(cv, seed)
+            first_variation(cv, var, VERTICAL, cv.source.alpha)
+            assert (len(var.delta_z.bumps) > len(var.delta_y.bumps)) == fixer_joins
+            assert quadrature._partition.cache_info().misses == (1 if fixer_joins else 2)
+
+    def test_overflowing_constraint_raises(self):
+        # On an interval 2e-300 wide the bump slopes times the curve's
+        # overflow, and the constraint integral with them.
+        base = catenary_alpha1(CatenaryParams(alpha=1.0), (-1e-300, 1e-300))
+        cv = perturbed_curve(base, BumpSum((Bump.central(*base.domain),), (1.0,)), EMPTY, 0.1)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalFailure, match="not finite"):
+            make_constrained_variation(cv, 0)
+
+
+class TestNoReferenceCycles:
+    """Curves are freed by reference counting alone, so their tables do not
+    wait for the cycle collector."""
+
+    def assert_freed_on_del(self, make):
+        gc.collect()
+        gc.disable()
+        try:
+            curve = make()
+            curve.w.value(0.1)  # builds w's table
+            ref = weakref.ref(curve)
+            del curve
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_solved_curve(self):
+        self.assert_freed_on_del(lambda: solve_curve(0.5, InitialData(0.0, 1.0, 0.1, 0.2, 0.1), (-0.5, 0.5)))
+
+    def test_perturbed_curve(self):
+        base = catenary_alpha1(CatenaryParams(alpha=1.0, v=0.5, d2=0.6))
+        bump = BumpSum((Bump(0.0, 0.6),), (1.0,))
+        self.assert_freed_on_del(lambda: perturbed_curve(base, bump, bump, 0.1))
 
 
 class TestReport:
