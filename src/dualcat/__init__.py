@@ -40,14 +40,11 @@ from .variational import (
     EnergyValue,
     ResidualReport,
     VariationField,
-    el_residual_dual,
-    el_residual_real,
     energy,
     first_integral_residual,
     first_variation,
     infer_c,
     make_constrained_variation,
-    multiplier_residual,
     perturbed_curve,
     residual_report,
     resolve_c,

@@ -152,6 +152,18 @@ class Frame:
     nu: float  # Euclidean speed sqrt(1 + y'(x)**2)
     kappa: DualScalar
 
+    def characterization(self, alpha: float, u: DirectionSpec, height: DualScalar) -> DualScalar:
+        """Residual of the curvature identity ``kappa = alpha*<N,u>/<gamma,u>``,
+        given the dual height ``<gamma,u>`` at the frame's points.
+
+        Vanishes exactly on the curves that are stationary for the potential
+        energy with exponent alpha and reference direction u; times nu, its
+        two parts are the real and dual Euler-Lagrange residuals.  Raises
+        ZeroRealPart when the height's real part is zero, or so small (about
+        1e-150) that its square underflows.
+        """
+        return self.kappa - float(alpha) * (dual_dot(self.N, u.vector) / height)
+
 
 class GraphCurve:
     """Graph curve ``(x, y(x)) + eps*(w(x), z(x))`` on a closed interval, where
@@ -238,15 +250,8 @@ class GraphCurve:
         return self.frame(x).kappa
 
     def characterization_residual(self, alpha: float, u: DirectionSpec, x) -> DualScalar:
-        """Residual of the curvature identity ``kappa = alpha*<N,u>/<gamma,u>``.
-
-        Vanishes exactly on the curves that are stationary for the potential
-        energy with exponent alpha and reference direction u.  Raises
-        ZeroRealPart when the height ``y(x)`` is zero, or so small (about
-        1e-150) that its square underflows.
-        """
-        fr = self.frame(x)
-        return fr.kappa - float(alpha) * (dual_dot(fr.N, u.vector) / self.height(u, x))
+        """``Frame.characterization`` at x, a point or an array of points."""
+        return self.frame(x).characterization(alpha, u, self.height(u, x))
 
     def _table_edges(self) -> np.ndarray:
         return table_edges(self.domain, self.y, self.breakpoints)
@@ -258,7 +263,10 @@ class GraphCurve:
         Refinement halves the start cells where the speed needs it, such as
         near the steep ends of a circular arc.
         """
-        return quadrature.CumulativeIntegral(lambda x: np.hypot(1.0, self.y.deriv(x)), self._table_edges())
+        # The speed holds y, not the curve: a table that reached back to the
+        # curve caching it would be a reference cycle.
+        y = self.y
+        return quadrature.CumulativeIntegral(lambda x: np.hypot(1.0, y.deriv(x)), self._table_edges())
 
     def arc_length(self, x0: float, x1: float) -> float:
         """Euclidean arc length of the real part between x0 and x1."""

@@ -156,16 +156,29 @@ class TestSolvePinned:
         assert got == (
             0,
             "admissibility          0\n"
-            "el_real                5.0515147620444623e-15\n"
-            "el_dual                1.154545209436364e-14\n"
+            "el_real                5.1418429985909242e-14\n"
+            "el_dual                9.5921201904274122e-12\n"
             "first_integral         6.6613381477509392e-16\n"
-            "characterization_re    4.9404924595819466e-15\n"
-            "characterization_du    1.1185496973098452e-14\n"
+            "characterization_re    4.9404924595819466e-14\n"
+            "characterization_du    9.5752988871211642e-12\n"
             "inferred_c             1\n"
             "tolerance              9.9999999999999995e-07\n"
             "result                 PASS\n",
             "",
         )
+
+    @pytest.mark.parametrize("samples", ["40", "41"])
+    def test_read_between_knots(self, capsys, samples):
+        # At step 0.05, 41 samples all fall on knots, where a solve's y'' and
+        # z'' are the system's own right-hand side; the knot cells' Gauss
+        # points show the interpolation error whatever the sample count.
+        code, out, _ = run_cli(
+            capsys, "verify", "--alpha", "1", "--solve", "--domain=-1:1", "--z0", "0.2", "--zp0", "0.1",
+            "--v", "0.3", "--step", "0.05", "--samples", samples,
+        )
+        assert code == 1
+        assert "el_dual                7.0483629903264244e-06\n" in out
+        assert out.endswith("result                 FAIL\n")
 
     def test_truncated_energy(self, capsys):
         got = run_cli(capsys, "energy", "--alpha", "3", "--solve", "--domain", "-2:2")
@@ -185,10 +198,10 @@ class TestSolvePinned:
             "achieved_domain": [-0.667, 0.667],
             "truncated": True,
             "admissibility_max": 0.0,
-            "el_real_max": 1.1102230246251565e-16,
+            "el_real_max": 6.194732806623494e-06,
             "el_dual_max": 0.0,
-            "first_integral_max": 2.9257952974148793e-05,
-            "characterization_re_max": 5.204170427930421e-18,
+            "first_integral_max": 0.0001675839498602727,
+            "characterization_re_max": 1.1412994579441949e-07,
             "characterization_du_max": 0.0,
         }
 
@@ -224,8 +237,8 @@ class TestVerify:
         assert code == 0
         assert out == (
             "admissibility          0\n"
-            "el_real                6.6613381477509392e-16\n"
-            "el_dual                8.8817841970012523e-16\n"
+            "el_real                8.9091064279556922e-16\n"
+            "el_dual                9.026058010044667e-16\n"
             "first_integral         1.7763568394002505e-15\n"
             "characterization_re    6.6613381477509392e-16\n"
             "characterization_du    8.8817841970012523e-16\n"

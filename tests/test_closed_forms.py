@@ -15,14 +15,12 @@ from dualcat import (
     catenary_alpha1,
     catenary_alpha_minus1,
     closed_form,
-    el_residual_dual,
-    el_residual_real,
     first_integral_residual,
-    multiplier_residual,
     residual_report,
     reversed_catenary,
 )
 from dualcat.closed_forms import FAMILIES
+from references import el_residual_dual, el_residual_real, multiplier_residual
 
 GRID = np.linspace(-1.0, 1.0, 201)
 

@@ -15,6 +15,8 @@ REMOVED = [
     "SmoothFn", "lift", "compose", "pow_alpha",
     "COSH", "SINH", "TANH", "SECH", "EXP", "SQRT", "ARCSIN",
     "CurvatureSample",
+    # Moved to tests/references.py: the report reads them off the characterization.
+    "el_residual_real", "el_residual_dual", "multiplier_residual",
 ]
 
 
@@ -44,4 +46,4 @@ def test_removed_names_are_gone():
     present = [name for name in REMOVED if hasattr(dualcat, name)]
     assert present == []
     assert not hasattr(dualcat.curves, "CurvatureSample")
-    assert not any(hasattr(dualcat.dual, name) for name in REMOVED)
+    assert not any(hasattr(dualcat.dual, name) or hasattr(dualcat.variational, name) for name in REMOVED)

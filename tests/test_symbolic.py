@@ -1,15 +1,21 @@
-"""Hand-coded closed-form derivatives against sympy's symbolic derivatives.
+"""Hand-coded formulas against sympy.
 
-Each coordinate's formula is written here a second time in sympy, which
-differentiates it; the coded ``d1``/``d2`` must agree at seeded points.
+Each closed-form coordinate is written here a second time in sympy, which
+differentiates it; the coded ``d1``/``d2`` must agree at seeded points.  For
+generic graphs, sympy proves the characterization theorem that the residual
+report relies on, and that the solver's right-hand side satisfies it.
 """
+
+import ast
+import inspect
+import textwrap
 
 import mpmath
 import numpy as np
 import pytest
 import sympy as sp
 
-from dualcat import CatenaryParams, closed_form, reversed_catenary
+from dualcat import CatenaryParams, closed_form, reversed_catenary, solver
 
 X = sp.Symbol("x", real=True)
 RTOL = 1e-12
@@ -78,3 +84,56 @@ def test_reversed_catenary_derivatives(p):
     xs = sample_points(curve, seed=12)
     check_coordinate(curve.w, v * y, xs)
     check_coordinate(curve.z, -v * X, xs)
+
+
+ALPHA, V = sp.symbols("alpha v", real=True)
+Y, Z = sp.Function("y")(X), sp.Function("z")(X)
+
+
+def symbolic_characterization() -> tuple:
+    """Real and dual parts of ``kappa - alpha*<N,u>/<gamma,u>`` for generic
+    y(x) and z(x), and the speed nu: the frame as ``GraphCurve.frame`` writes
+    it, paired with ``u = (0, 1) + eps*(v, 0)`` by ``dual_dot`` and divided by
+    the height ``y + eps*(z + v*x)`` as ``DualScalar.__truediv__`` does."""
+    yp, zp = Y.diff(X), Z.diff(X)
+    nu = sp.sqrt(1 + yp**2)
+    t_re = (1 / nu, yp / nu)
+    n_re = (-yp / nu, 1 / nu)
+    n_du = (-zp * t_re[0], -zp * t_re[1])
+    kappa_re, kappa_du = Y.diff(X, 2) / nu**3, Z.diff(X, 2) / nu
+    u_re, u_du = (0, 1), (V, 0)
+    dot_re = n_re[0] * u_re[0] + n_re[1] * u_re[1]
+    dot_du = (n_re[0] * u_du[0] + n_re[1] * u_du[1]) + (n_du[0] * u_re[0] + n_du[1] * u_re[1])
+    h_re, h_du = Y, Z + V * X
+    q_re, q_du = dot_re / h_re, (dot_du * h_re - dot_re * h_du) / (h_re * h_re)
+    return kappa_re - ALPHA * q_re, kappa_du - ALPHA * q_du, nu
+
+
+def test_euler_lagrange_is_speed_times_characterization():
+    char_re, char_du, nu = symbolic_characterization()
+    yp, zp = Y.diff(X), Z.diff(X)
+    el_real = Y.diff(X, 2) / (1 + yp**2) - ALPHA / Y
+    el_dual = Z.diff(X, 2) + ALPHA * (yp / Y) * (zp + V) + ALPHA * (Z + V * X) / Y**2
+    assert sp.simplify(nu * char_re - el_real) == 0
+    assert sp.simplify(nu * char_du - el_dual) == 0
+    # A generic graph is not stationary.
+    assert sp.simplify(char_re) != 0 and sp.simplify(char_du) != 0
+
+
+def solver_rates() -> list:
+    """The four rates that ``solver._march``'s ``rates`` returns, read from
+    its source, as sympy expressions in x, y, y', z and z'."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(solver._march)))
+    rates = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "rates")
+    [ret] = [n for n in ast.walk(rates) if isinstance(n, ast.Return)]
+    names = {"x": X, "y": Y, "p": Y.diff(X), "z": Z, "q": Z.diff(X), "alpha": ALPHA, "v": V}
+    return [sp.sympify(ast.unparse(e), locals=names, rational=True) for e in ret.value.elts]
+
+
+def test_solver_rates_zero_the_characterization():
+    yp, ypp, zp, zpp = solver_rates()
+    assert (yp, zp) == (Y.diff(X), Z.diff(X))
+    char_re, char_du, _ = symbolic_characterization()
+    on_solutions = {Y.diff(X, 2): ypp, Z.diff(X, 2): zpp}
+    assert sp.simplify(char_re.subs(on_solutions)) == 0
+    assert sp.simplify(char_du.subs(on_solutions)) == 0

@@ -25,21 +25,19 @@ from dualcat import (
     catenary_alpha0,
     catenary_alpha1,
     catenary_alpha_minus1,
-    el_residual_dual,
-    el_residual_real,
     energy,
     first_integral_residual,
     first_variation,
     infer_c,
     closed_form,
     make_constrained_variation,
-    multiplier_residual,
     perturbed_curve,
     residual_report,
     solve_curve,
 )
 from dualcat import quadrature, variational
 from dualcat.quadrature import partitioned_nodes
+from references import el_residual_dual, el_residual_real, multiplier_residual
 
 VERTICAL = DirectionSpec(0.0)
 EMPTY = BumpSum((), ())
@@ -582,12 +580,12 @@ class TestNoReferenceCycles:
     """Curves are freed by reference counting alone, so their tables do not
     wait for the cycle collector."""
 
-    def assert_freed_on_del(self, make):
+    def assert_freed_on_del(self, make, use=lambda curve: curve.w.value(0.1)):
         gc.collect()
         gc.disable()
         try:
             curve = make()
-            curve.w.value(0.1)  # builds w's table
+            use(curve)  # builds w's table by default
             ref = weakref.ref(curve)
             del curve
             assert ref() is None
@@ -601,6 +599,14 @@ class TestNoReferenceCycles:
         base = catenary_alpha1(CatenaryParams(alpha=1.0, v=0.5, d2=0.6))
         bump = BumpSum((Bump(0.0, 0.6),), (1.0,))
         self.assert_freed_on_del(lambda: perturbed_curve(base, bump, bump, 0.1))
+
+    @pytest.mark.parametrize("make", [
+        lambda: catenary_alpha1(CatenaryParams(alpha=1.0, v=0.5, d2=0.6)),
+        lambda: solve_curve(0.5, InitialData(0.0, 1.0, 0.1, 0.2, 0.1), (-0.5, 0.5)),
+    ], ids=("closed", "solved"))
+    def test_curve_after_arc_length(self, make):
+        # The arc-length table the curve caches on itself holds y, not the curve.
+        self.assert_freed_on_del(make, lambda curve: curve.x_at_arclength(0.5))
 
 
 class TestReport:
@@ -635,3 +641,60 @@ class TestReport:
             assert rep.residuals["characterization_re"][i] == r.re
             assert rep.residuals["characterization_du"][i] == r.du
             assert rep.residuals["admissibility"][i] == cv.admissibility_residual(float(x))
+
+    @pytest.mark.parametrize("curve, alpha, u, names", [
+        # cosh is not stationary at exponent 2, and z = x adds a dual defect.
+        (GraphCurve((-1.0, 1.0), Coordinate(np.cosh, np.sinh, np.cosh), Coordinate.constant(0.0),
+                    Coordinate.linear(1.0, 0.0)), 2.0, DirectionSpec(0.3), ("el_real", "el_dual")),
+        # A catenary with the wrong tilt: its graph stays stationary.
+        (catenary_alpha1(CatenaryParams(alpha=1.0, v=0.5, d1=0.3, d2=-0.4)), 1.0, DirectionSpec(1.3), ("el_dual",)),
+        # The arc checked at exponent 1.
+        (catenary_alpha_minus1(CatenaryParams(alpha=-1.0, R=1.5, v=0.4, d2=0.7)), 1.0, DirectionSpec(0.4),
+         ("el_real", "el_dual")),
+    ], ids=("cosh-alpha2", "wrong-v", "arc-alpha1"))
+    def test_el_rows_match_component_references(self, curve, alpha, u, names):
+        rep = residual_report(curve, alpha, u, num=101)
+        refs = {"el_real": el_residual_real(curve, alpha, rep.grid),
+                "el_dual": el_residual_dual(curve, alpha, u, rep.grid)}
+        for name in names:
+            ref = refs[name]
+            assert np.max(np.abs(ref)) > 0.1  # the residual is O(1) here
+            assert np.max(np.abs(rep.residuals[name] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("make", [
+        lambda: catenary_alpha1(CatenaryParams(alpha=1.0, v=0.5, d1=0.3)),
+        lambda: solve_curve(0.5, InitialData(0.0, 1.0, 0.1, 0.2, 0.1), (-0.5, 0.5), 0.3),
+    ], ids=("closed", "solved"))
+    def test_second_derivatives_read_once(self, make):
+        curve = make()
+        calls = {"y": 0, "z": 0}
+
+        def spy(name):
+            coord = getattr(curve, name)
+            d2 = coord.deriv2
+
+            def counted(x):
+                calls[name] += 1
+                return d2(x)
+
+            coord.deriv2 = counted
+
+        spy("y")
+        spy("z")
+        residual_report(curve, 0.5, DirectionSpec(0.3))
+        assert calls == {"y": 1, "z": 1}
+
+    def test_solve_maxima_include_knot_cell_gauss_points(self):
+        u = DirectionSpec(0.3)
+        cv = solve_curve(1.0, InitialData(0.0, 1.0, 0.0, 0.2, 0.1), (-1.0, 1.0), 0.3, step=0.05)
+        rep = residual_report(cv, 1.0, u, num=41)
+        # The rows stay on the grid, where every sample is a knot.
+        assert len(rep.grid) == 41 and all(len(r) == 41 for r in rep.residuals.values())
+        assert np.max(np.abs(rep.residuals["el_dual"])) < 1e-12
+        g = cv.y.grid
+        h, mid = np.diff(g), 0.5 * (g[:-1] + g[1:])
+        gauss = np.concatenate((mid - h / (2.0 * math.sqrt(3.0)), mid + h / (2.0 * math.sqrt(3.0))))
+        want = float(np.max(np.abs(el_residual_dual(cv, 1.0, u, gauss))))
+        assert want > 1e-6
+        assert rep.max_abs["el_dual"] == pytest.approx(want, abs=1e-13)
+        assert rep.max_abs["el_real"] == pytest.approx(float(np.max(np.abs(el_residual_real(cv, 1.0, gauss)))), abs=1e-13)
