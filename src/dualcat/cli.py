@@ -13,6 +13,7 @@ flags.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -58,6 +59,10 @@ EXIT_BROKEN_PIPE = 141
 INT_MINIMUM = {"samples": 2, "panels": 1, "count": 1, "seed": 0}
 INT_MAXIMUM = {"samples": 10**6, "panels": 10**5}
 
+# Flags that set a closed form, and flags that set a solve: each source reads only its own.
+CLOSED_FLAGS = ("c", "m", "R", "d1", "d2", "d3", "branch")
+INITIAL_FLAGS = ("y0", "yp0", "z0", "zp0", "w0")
+
 
 class UsageError(DualcatError):
     pass
@@ -87,9 +92,9 @@ def _validate(args) -> None:
         if getattr(args, name, low) < low:
             raise UsageError(f"--{name} must be at least {low}")
     for name, high in INT_MAXIMUM.items():
-        if getattr(args, name) > high:
+        if getattr(args, name, high) > high:
             raise UsageError(f"--{name} must be at most {high}")
-    if args.tol is not None and args.tol < 0.0:
+    if getattr(args, "tol", None) is not None and args.tol < 0.0:
         raise UsageError(f"--tol must not be negative, got {args.tol}")
 
 
@@ -142,50 +147,47 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--alpha", type=float, required=True, help="potential exponent")
-    common.add_argument("--c", type=float, default=1.0, help="first-integral constant")
-    common.add_argument("--m", type=float, default=0.0, help="apex shift")
-    common.add_argument("--R", type=float, default=1.0, help="radius (exponent -1 family)")
-    common.add_argument("--v", type=float, default=0.0, help="tilt rate of the reference direction")
-    common.add_argument("--d1", type=float, default=0.0)
-    common.add_argument("--d2", type=float, default=0.0)
-    common.add_argument("--d3", type=float, default=0.0)
-    common.add_argument("--branch", choices=("plus", "minus"), default="plus")
-    common.add_argument(
+    # A curve flag left at None was not given: CatenaryParams, InitialData and solve_curve own its default.
+    curve = argparse.ArgumentParser(add_help=False)
+    curve.add_argument("--alpha", type=float, required=True, help="potential exponent")
+    curve.add_argument("--c", type=float, help="first-integral constant")
+    curve.add_argument("--m", type=float, help="apex shift")
+    curve.add_argument("--R", type=float, help="radius (exponent -1 family)")
+    curve.add_argument("--v", type=float, default=0.0, help="tilt rate of the reference direction")
+    for name in ("d1", "d2", "d3"):
+        curve.add_argument(f"--{name}", type=float)
+    curve.add_argument("--branch", choices=("plus", "minus"))
+    curve.add_argument(
         "--domain", default=None,
         help="interval lo:hi (default -1:1; at alpha -1 without --solve, the arc clipped by RIM_CLIP)",
     )
-    common.add_argument("--samples", type=int, default=201)
-    common.add_argument("--format", choices=("csv", "json"), default="json")
-    common.add_argument("--tol", type=float, default=None)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--solve", action="store_true", help="integrate numerically instead of using a closed form")
-    common.add_argument("--step", type=float, default=STEP, help="solver step size")
-    common.add_argument("--y0", type=float, default=1.0)
-    common.add_argument("--yp0", type=float, default=0.0)
-    common.add_argument("--z0", type=float, default=0.0)
-    common.add_argument("--zp0", type=float, default=0.0)
-    common.add_argument("--w0", type=float, default=0.0)
-    common.add_argument("--panels", type=int, default=PANELS)
+    curve.add_argument("--solve", action="store_true", help="integrate numerically instead of using a closed form")
+    curve.add_argument("--step", type=float, help="solver step size")
+    for name in INITIAL_FLAGS:
+        curve.add_argument(f"--{name}", type=float)
+    samples, tol, panels = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    samples.add_argument("--samples", type=int, default=201)
+    tol.add_argument("--tol", type=float, default=None)
+    panels.add_argument("--panels", type=int, default=PANELS)
 
     parser = argparse.ArgumentParser(prog="dualcat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("generate", parents=[common], help="sample a curve with residual columns")
+    p_gen = sub.add_parser("generate", parents=[curve, samples], help="sample a curve with residual columns")
+    p_gen.add_argument("--format", choices=("csv", "json"), default="json")
     p_gen.set_defaults(func=cmd_generate)
 
-    p_ver = sub.add_parser("verify", parents=[common], help="check residual maxima against a tolerance")
+    p_ver = sub.add_parser("verify", parents=[curve, samples, tol], help="check residual maxima against a tolerance")
     p_ver.add_argument(
         "--curve-alpha", type=float, default=None,
         help="exponent used to build the curve when it differs from --alpha",
     )
     p_ver.set_defaults(func=cmd_verify)
 
-    p_en = sub.add_parser("energy", parents=[common], help="print the dual energy split")
-    p_en.set_defaults(func=cmd_energy)
+    sub.add_parser("energy", parents=[curve, panels], help="print the dual energy split").set_defaults(func=cmd_energy)
 
-    p_var = sub.add_parser("variation", parents=[common], help="first variation along seeded test functions")
+    p_var = sub.add_parser("variation", parents=[curve, tol, panels], help="first variation along seeded test functions")
+    p_var.add_argument("--seed", type=int, default=0)
     p_var.add_argument("--perturb", type=float, default=0.0, help="bump amplitude added to y before testing")
     p_var.add_argument("--count", type=int, default=20, help="number of seeded variations")
     p_var.set_defaults(func=cmd_variation)
@@ -203,25 +205,35 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _given(args, names: tuple[str, ...]) -> dict:
+    """The flags among names that the command line set, by name."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
+def _params(args, alpha: float) -> CatenaryParams:
+    """Closed-form parameters at exponent alpha from the flags given."""
+    return CatenaryParams(alpha=alpha, v=args.v, **_given(args, CLOSED_FLAGS))
+
+
 def _build_curve(args, family_alpha: float) -> GraphCurve:
     """Curve from flags: a solve with --solve, else the closed form."""
     domain = _parse_domain(args.domain) if args.domain is not None else None
+    unread = _given(args, CLOSED_FLAGS if args.solve else (*INITIAL_FLAGS, "step"))
+    if unread:
+        flags = ", ".join(f"--{name}" for name in unread)
+        raise UsageError(f"--solve does not read {flags}" if args.solve else f"only --solve reads {flags}")
 
     if args.solve:
         lo, hi = domain if domain is not None else DEFAULT_DOMAIN
         x0 = 0.0 if lo <= 0.0 <= hi else 0.5 * (lo + hi)
-        init = InitialData(x0, args.y0, args.yp0, args.z0, args.zp0, args.w0)
-        return solve_curve(family_alpha, init, (lo, hi), args.v, step=args.step)
+        init = InitialData(x0, **_given(args, INITIAL_FLAGS))
+        return solve_curve(family_alpha, init, (lo, hi), args.v, **_given(args, ("step",)))
 
     if family_alpha not in FAMILIES:
         raise UsageError(
             f"exponent {family_alpha:g} has no closed form; pass --solve to integrate numerically"
         )
-    params = CatenaryParams(
-        alpha=family_alpha, c=args.c, m=args.m, R=args.R, v=args.v,
-        d1=args.d1, d2=args.d2, d3=args.d3, branch=args.branch,
-    )
-    return closed_form(params, domain)
+    return closed_form(_params(args, family_alpha), domain)
 
 
 def _summary(curve: GraphCurve, report) -> dict:
@@ -262,9 +274,8 @@ def cmd_generate(args) -> int:
     else:
         payload = {
             "params": {
-                "alpha": args.alpha, "c": args.c, "m": args.m, "R": args.R, "v": args.v,
-                "d1": args.d1, "d2": args.d2, "d3": args.d3, "branch": args.branch,
-                "solve": args.solve, "step": args.step, "samples": args.samples,
+                **dataclasses.asdict(_params(args, args.alpha)),
+                "solve": args.solve, "step": STEP if args.step is None else args.step, "samples": args.samples,
             },
             "grid": xs.tolist(),
             "records": [dict(zip(CSV_COLUMNS, r)) for r in rows],
@@ -303,7 +314,8 @@ def cmd_variation(args) -> int:
 
     u = DirectionSpec(args.v)
     tol = args.tol if args.tol is not None else VARIATION_TOL
-    abs_re, abs_du = [], []
+    # Running maxima of |dE|: np.maximum propagates NaN where the builtin max would skip it.
+    worst = np.zeros(2)
     # On a very short domain the bump slopes overflow: a constraint integral
     # that overflows raises, and an inf or NaN dE fails the gate below.
     for i in range(args.count):
@@ -317,13 +329,10 @@ def cmd_variation(args) -> int:
         if var is None:
             raise DegenerateVariation(f"no usable variation for seed {args.seed + i}")
         fv = first_variation(tested, var, u, args.alpha, args.panels)
-        abs_re.append(abs(fv.re))
-        abs_du.append(abs(fv.du))
+        worst = np.maximum(worst, (abs(fv.re), abs(fv.du)))
         print(f"seed {args.seed + i}: dE = {_g17(fv.re)} + {_g17(fv.du)} eps")
 
-    # np.max propagates NaN where the builtin max would skip it.
-    worst = {"max_abs_re": float(np.max(abs_re)), "max_abs_du": float(np.max(abs_du))}
-    return _exit_code(curve, _gate(worst, tol))
+    return _exit_code(curve, _gate(dict(zip(("max_abs_re", "max_abs_du"), worst.tolist())), tol))
 
 
 def main(argv=None) -> int:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import quadrature
 from .dual import DirectionSpec, DualScalar, DualVec2, _dedim, dual_dot
-from .errors import InvalidParams, NumericalFailure, OutOfDomain
+from .errors import DomainError, InvalidParams, NumericalFailure, OutOfDomain
 from .spline import HermiteSpline
 
 # Absolute slack when checking that a point lies inside a curve's interval.
@@ -158,9 +158,10 @@ class Frame:
 
         Vanishes exactly on the curves that are stationary for the potential
         energy with exponent alpha and reference direction u; times nu, its
-        two parts are the real and dual Euler-Lagrange residuals.  Raises
-        ZeroRealPart when the height's real part is zero, or so small (about
-        1e-150) that its square underflows.
+        two parts are the real and dual Euler-Lagrange residuals.  A zero
+        height never reaches the division: ``GraphCurve.height`` raises
+        DomainError for it.  Raises ZeroRealPart when the height's real part
+        is so small (about 1e-150) that its square underflows.
         """
         return self.kappa - float(alpha) * (dual_dot(self.N, u.vector) / height)
 
@@ -219,12 +220,17 @@ class GraphCurve:
     def height(self, u: DirectionSpec, x) -> DualScalar:
         """Dual height ``<gamma, u> = y + eps*(z + v*x)``; x may be an array.
 
+        Raises DomainError unless y is positive and finite at every point.
         The real part of u is vertical, so w has coefficient zero and is not
         evaluated: on perturbed curves each w value is its own quadrature.
         """
         self._check(x)
         x = _dedim(np.asarray(x, dtype=float))
-        return DualScalar(_dedim(self.y.value(x)), _dedim(self.z.value(x) + u.v * x))
+        y = _dedim(self.y.value(x))
+        # NaN fails both comparisons.
+        if not np.all((y > 0.0) & (y < np.inf)):
+            raise DomainError("curve height must stay positive and finite at the evaluation points")
+        return DualScalar(y, _dedim(self.z.value(x) + u.v * x))
 
     def frame(self, x) -> Frame:
         """Frenet frame, assuming the curve is admissible at x (a point or an array).

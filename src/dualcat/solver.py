@@ -45,7 +45,7 @@ class InitialData:
     """Initial point and first-order data for both dual components."""
 
     x0: float
-    y0: float
+    y0: float = 1.0
     yp0: float = 0.0
     z0: float = 0.0
     zp0: float = 0.0

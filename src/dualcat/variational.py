@@ -21,7 +21,7 @@ import numpy as np
 from . import quadrature
 from .curves import ClosedForm, Coordinate, GraphCurve, Numeric, recover_w, table_edges
 from .dual import DirectionSpec, DualScalar, DualVec2, dual_dot, dual_norm
-from .errors import DegenerateVariation, DomainError, InvalidParams, NumericalFailure
+from .errors import DegenerateVariation, InvalidParams, NumericalFailure
 
 # Bump amplitude used for seeded variations; small enough that quadrature
 # error on the bump tails stays far below the stationarity tolerances.
@@ -51,30 +51,6 @@ class EnergyValue:
     e1: float
 
 
-def _positive(y) -> np.ndarray:
-    """Heights y, required finite and positive."""
-    y = np.asarray(y, dtype=float)
-    # NaN fails both comparisons.
-    if not ((y > 0.0) & (y < np.inf)).all():
-        raise DomainError("curve height must stay positive and finite at the evaluation points")
-    return y
-
-
-def _heights(curve: GraphCurve, x) -> np.ndarray:
-    """Heights y(x) at points of the curve's interval, required finite and positive."""
-    curve._check(x)
-    return _positive(curve.y.value(x))
-
-
-def _dual_height(curve: GraphCurve, u: DirectionSpec, x) -> DualScalar:
-    """Dual height ``<gamma, u>`` at points of the curve's interval, its real
-    part required finite and positive: the interval is checked and y
-    evaluated once."""
-    height = curve.height(u, x)
-    _positive(height.re)
-    return height
-
-
 def energy(
     curve: GraphCurve,
     u: DirectionSpec,
@@ -84,7 +60,7 @@ def energy(
     """Dual potential energy of the curve, on panels split at its breakpoints."""
     a, b = curve.domain
     x, wts = quadrature.partitioned_nodes(a, b, curve.breakpoints, panels)
-    pot = _dual_height(curve, u, x) ** alpha
+    pot = curve.height(u, x) ** alpha
     speed = dual_norm(curve.velocity(x))
     integrand = pot * speed
     e0 = float(np.dot(wts, integrand.re))
@@ -96,7 +72,7 @@ def first_integral_residual(curve: GraphCurve, alpha: float, c: float, x):
     """Residual ``1 + y'**2 - c**2 * y**(2*alpha)`` of the conserved quantity."""
     if not (c > 0.0 and np.isfinite(c)):
         raise InvalidParams(f"c must be positive, got {c}")
-    y = _heights(curve, x)
+    y = np.asarray(curve.height(DirectionSpec(), x).re)
     yp = curve.y.deriv(x)
     return 1.0 + yp * yp - c * c * y ** (2.0 * alpha)
 
@@ -107,7 +83,7 @@ def infer_c(curve: GraphCurve, alpha: float, x0: float) -> float:
     Raises NumericalFailure when it is not positive and finite, as when
     ``y**(2*alpha)`` leaves the float range.
     """
-    y = float(_heights(curve, x0))
+    y = float(curve.height(DirectionSpec(), x0).re)
     yp = float(curve.y.deriv(x0))
     try:
         c = float(np.sqrt((1.0 + yp * yp) / y ** (2.0 * alpha)))
@@ -358,7 +334,7 @@ def first_variation(
     a, b = curve.domain
     dy, dz = var.delta_y, var.delta_z
     x, wts = quadrature.partitioned_nodes(a, b, curve.breakpoints + dy.edges() + dz.edges(), panels)
-    height = _dual_height(curve, u, x)
+    height = curve.height(u, x)
     yp, zp = curve.y.deriv(x), curve.z.deriv(x)
     (dyv, dzv), (dyp, dzp) = BumpSum._evaluate(x, (dy, dz), "value", "deriv")
     vel = DualVec2((1.0, yp), (-yp * zp, zp))
@@ -406,7 +382,7 @@ def residual_report(curve: GraphCurve, alpha: float, u: DirectionSpec, num: int 
         mid, off = 0.5 * (knots[:-1] + knots[1:]), np.diff(knots) / (2.0 * math.sqrt(3.0))
         x = np.concatenate((xs, mid - off, mid + off))
     # A height that is not positive fails here, before any residual divides by it.
-    height = _dual_height(curve, u, x)
+    height = curve.height(u, x)
     c_used = resolve_c(curve, alpha, float(xs[len(xs) // 2]))
     fr = curve.frame(x)
     char = fr.characterization(alpha, u, height)

@@ -1,5 +1,6 @@
 """Command-line interface behaviour: formats, exit codes, determinism."""
 
+import argparse
 import csv
 import io
 import json
@@ -467,6 +468,17 @@ class TestVariation:
         assert (code, out) == (2, "")
         assert err.startswith("error: seed 0: constraint integral") and err.count("\n") == 1
 
+    def test_nan_first_variation_fails_the_gate(self, capsys, monkeypatch):
+        # A NaN dE on the first seed stays the maximum after finite ones.
+        values = iter(dualcat.DualScalar(*pair) for pair in [(math.nan, 1e-9), (1e-9, math.nan), (1e-9, 2e-9)])
+        monkeypatch.setattr(cli, "first_variation", lambda *args: next(values))
+        code, out, _ = run_cli(capsys, "variation", "--alpha", "1", "--count", "3")
+        assert code == 1
+        assert out.splitlines()[-4:] == [
+            f"{'max_abs_re':<22} nan", f"{'max_abs_du':<22} nan", f"{'tolerance':<22} 1.0000000000000001e-05",
+            f"{'result':<22} FAIL",
+        ]
+
 
 def test_variation_and_energy_leave_numpy_ma_unloaded():
     # np.unique and np.union1d import numpy.ma on NumPy 2 (about 1.2 MB).
@@ -542,6 +554,66 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["generate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["generate", "verify", "energy", "variation"])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(("--solve", f"--{name}", "0.5"), name) for name in ("c", "m", "R", "d1", "d2", "d3")]
+        + [(("--solve", "--branch", "minus"), "branch")]
+        + [((f"--{name}", "0.5"), name) for name in ("y0", "yp0", "z0", "zp0", "w0", "step")],
+    )
+    def test_flag_of_the_other_curve_source_exits_2(self, capsys, command, argv, flag):
+        code, out, err = run_cli(capsys, command, "--alpha", "0.5", *argv)
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error:") and f"--{flag}" in line
+
+    def test_each_flag_of_the_other_source_is_named(self, capsys):
+        argv = ("generate", "--alpha", "0.5", "--solve", "--c", "7", "--d1", "3", "--samples", "2")
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (2, "error: --solve does not read --c, --d1\n")
+        code, _, err = run_cli(capsys, "verify", "--alpha", "1", "--y0", "5", "--step", "0.5")
+        assert (code, err) == (2, "error: only --solve reads --y0, --step\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("energy", "--alpha", "-1", "--samples", "100000"),
+            ("energy", "--alpha", "1", "--tol", "1"),
+            ("generate", "--alpha", "1", "--panels", "8"),
+            ("generate", "--alpha", "1", "--seed", "3"),
+            ("verify", "--alpha", "1", "--format", "csv"),
+            ("variation", "--alpha", "1", "--samples", "5"),
+        ],
+    )
+    def test_flag_the_subcommand_does_not_read_exits_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+
+
+CURVE_FLAGS = {
+    "--alpha", "--c", "--m", "--R", "--v", "--d1", "--d2", "--d3", "--branch", "--domain",
+    "--solve", "--step", "--y0", "--yp0", "--z0", "--zp0", "--w0",
+}
+ACCEPTED_FLAGS = {
+    "generate": CURVE_FLAGS | {"--samples", "--format"},
+    "verify": CURVE_FLAGS | {"--samples", "--tol", "--curve-alpha"},
+    "energy": CURVE_FLAGS | {"--panels"},
+    "variation": CURVE_FLAGS | {"--tol", "--panels", "--seed", "--perturb", "--count"},
+}
+
+
+def test_each_subcommand_accepts_only_the_flags_it_reads():
+    [subparsers] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = {
+        name: {flag for action in parser._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, parser in subparsers.choices.items()
+    }
+    assert accepted == ACCEPTED_FLAGS
+    assert {name: len(flags) for name, flags in accepted.items()} == {
+        "generate": 19, "verify": 20, "energy": 18, "variation": 22,
+    }
 
 
 def test_module_entry_point():
@@ -742,14 +814,14 @@ sys.modules["scipy"] = None
 import dualcat
 from dualcat.cli import main
 
-solve = ["--alpha", "0.5", "--solve", "--domain=-0.5:0.5", "--samples", "5"]
+solve = ["--alpha", "0.5", "--solve", "--domain=-0.5:0.5"]
 runs = [
     ["verify", "--alpha", "1"],
     ["generate", "--alpha", "1", "--samples", "5"],
     ["energy", "--alpha", "-1"],
     ["variation", "--alpha", "1", "--count", "1"],
-    ["verify", *solve],
-    ["generate", *solve],
+    ["verify", *solve, "--samples", "5"],
+    ["generate", *solve, "--samples", "5"],
     ["energy", *solve],
     ["variation", *solve, "--count", "1"],
 ]

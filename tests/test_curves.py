@@ -12,6 +12,7 @@ from dualcat import (
     CatenaryParams,
     Coordinate,
     DirectionSpec,
+    DomainError,
     DualScalar,
     GraphCurve,
     InitialData,
@@ -77,6 +78,19 @@ class TestBasics:
         cv = catenary_alpha1(CatenaryParams(alpha=1.0, c=2.0, v=0.7, d1=0.3, d2=-0.4))
         xs = np.linspace(-1.0, 1.0, 101)
         assert np.max(np.abs(cv.admissibility_residual(xs))) < 1e-13
+
+    def test_height_must_be_positive_and_finite(self):
+        zero = Coordinate.constant(0.0)
+        line = GraphCurve((-1.0, 1.0), Coordinate.linear(1.0, 0.0), zero, zero)  # y = x
+        assert line.height(VERTICAL, 0.5) == DualScalar(0.5, 0.0)
+        for x in (0.0, -0.5, np.array([0.5, 0.0])):
+            with pytest.raises(DomainError, match="curve height must stay positive and finite"):
+                line.height(VERTICAL, x)
+        with pytest.raises(DomainError):  # before the characterization divides by it
+            line.characterization_residual(1.0, VERTICAL, 0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                GraphCurve((-1.0, 1.0), Coordinate.constant(bad), zero, zero).height(VERTICAL, np.array([0.5]))
 
 
 def _perturbed_catenary() -> GraphCurve:
