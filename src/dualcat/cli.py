@@ -215,6 +215,14 @@ def _params(args, alpha: float) -> CatenaryParams:
     return CatenaryParams(alpha=alpha, v=args.v, **_given(args, CLOSED_FLAGS))
 
 
+def _initial_data(args) -> tuple[InitialData, tuple[float, float]]:
+    """A solve's initial data from the flags given, and its requested domain;
+    x0 is 0 when the domain holds it, else the domain's midpoint."""
+    lo, hi = _parse_domain(args.domain) if args.domain is not None else DEFAULT_DOMAIN
+    x0 = 0.0 if lo <= 0.0 <= hi else 0.5 * (lo + hi)
+    return InitialData(x0, **_given(args, INITIAL_FLAGS)), (lo, hi)
+
+
 def _build_curve(args, family_alpha: float) -> GraphCurve:
     """Curve from flags: a solve with --solve, else the closed form."""
     domain = _parse_domain(args.domain) if args.domain is not None else None
@@ -224,10 +232,8 @@ def _build_curve(args, family_alpha: float) -> GraphCurve:
         raise UsageError(f"--solve does not read {flags}" if args.solve else f"only --solve reads {flags}")
 
     if args.solve:
-        lo, hi = domain if domain is not None else DEFAULT_DOMAIN
-        x0 = 0.0 if lo <= 0.0 <= hi else 0.5 * (lo + hi)
-        init = InitialData(x0, **_given(args, INITIAL_FLAGS))
-        return solve_curve(family_alpha, init, (lo, hi), args.v, **_given(args, ("step",)))
+        init, span = _initial_data(args)
+        return solve_curve(family_alpha, init, span, args.v, **_given(args, ("step",)))
 
     if family_alpha not in FAMILIES:
         raise UsageError(
@@ -272,11 +278,14 @@ def cmd_generate(args) -> int:
     if args.format == "csv":
         print("\n".join([",".join(CSV_COLUMNS)] + [CSV_ROW % tuple(r) for r in rows]))
     else:
+        # What the curve source read: a solve its initial data and step, a closed form its parameters.
+        if args.solve:
+            read = {"alpha": args.alpha, "v": args.v, **dataclasses.asdict(_initial_data(args)[0]),
+                    "step": STEP if args.step is None else args.step}
+        else:
+            read = dataclasses.asdict(_params(args, args.alpha))
         payload = {
-            "params": {
-                **dataclasses.asdict(_params(args, args.alpha)),
-                "solve": args.solve, "step": STEP if args.step is None else args.step, "samples": args.samples,
-            },
+            "params": {**read, "solve": args.solve, "samples": args.samples},
             "grid": xs.tolist(),
             "records": [dict(zip(CSV_COLUMNS, r)) for r in rows],
             "summary": _summary(curve, report),

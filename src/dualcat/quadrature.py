@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalFailure
+from .errors import InvalidParams, NumericalFailure
 
 GL_ORDER = 5
 PANELS = 64
@@ -50,8 +50,11 @@ def partitioned_nodes(a: float, b: float, breakpoints, panels: int = PANELS) -> 
     at the breakpoints restores full Gauss accuracy on every piece.  Each
     piece gets panels proportional to its width, at least one.  The last rule
     built is kept: a variation's constraint and its first variation ask for
-    the same one.  The arrays are therefore shared, and read-only.
+    the same one.  The arrays are therefore shared, and read-only.  panels
+    must be an integer of at least 1.
     """
+    if not (isinstance(panels, (int, np.integer)) and panels >= 1):
+        raise InvalidParams(f"panels must be an integer of at least 1, got {panels!r}")
     return _partition(a, b, tuple(breakpoints), panels)
 
 

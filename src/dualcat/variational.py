@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -118,10 +118,9 @@ class Bump:
 class BumpSum:
     """Linear combination of bumps, used as a compactly supported test function.
 
-    All bumps are evaluated in one pass over a ``(bumps, points)`` array whose
-    rows are then summed in order, starting from 0 as ``sum`` over the bumps
-    would.  x may be a float or an array of any shape; a float gives an
-    np.float64.
+    ``_evaluate`` takes all bumps in one pass over a ``(bumps, points)`` array and
+    adds the rows in order from 0.  x may be a float or an array of any shape; a
+    float gives an np.float64, rounded as the same x inside an array is.
     """
 
     bumps: tuple[Bump, ...]
@@ -136,67 +135,42 @@ class BumpSum:
         if not all(map(math.isfinite, self.coeffs)):
             raise InvalidParams(f"bump coefficients must be finite, got {self.coeffs}")
 
-    @cached_property
-    def _cols(self) -> tuple[np.ndarray, ...]:
-        """Centres, radii and coefficients, each a (bumps, 1) column."""
-        rows = [[b.center for b in self.bumps], [b.radius for b in self.bumps], self.coeffs]
-        return tuple(np.array(rows, dtype=float)[:, :, None])
-
     def value(self, x):
-        [[out]] = self._eval(x, "value")
+        [[out]] = BumpSum._evaluate(x, (self,), "value")
         return out
 
     def deriv(self, x):
-        [[out]] = self._eval(x, "deriv")
+        [[out]] = BumpSum._evaluate(x, (self,), "deriv")
         return out
 
     def deriv2(self, x):
-        [[out]] = self._eval(x, "deriv2")
+        [[out]] = BumpSum._evaluate(x, (self,), "deriv2")
         return out
 
     @staticmethod
     def _evaluate(x, sums: tuple["BumpSum", ...], *kinds: str) -> list[list]:
-        """For each kind ("value", "deriv" or "deriv2"), every BumpSum's values
-        at x, bit for bit as their own methods give them, from one pass over
-        all their bumps."""
-        joined = BumpSum(sum((bs.bumps for bs in sums), ()), sum((bs.coeffs for bs in sums), ()))
-        return joined._eval(x, *kinds, sizes=[len(bs.bumps) for bs in sums])
-
-    def _eval(self, x, *kinds: str, sizes=None) -> list:
-        """Per kind, the sums of ``coeff * bump`` rows at x over consecutive
-        groups of ``sizes`` bumps (one group of all of them by default)."""
+        """For each kind ("value", "deriv" or "deriv2"), every BumpSum's
+        values at x, from one pass over all their bumps."""
         x = np.asarray(x, dtype=float)
-        groups, end = [], 0
-        for n in [len(self.bumps)] if sizes is None else sizes:
-            groups.append(slice(end, end + n))
-            end += n
-        zero = np.zeros(x.size)
-        if not self.bumps:
-            return [[zero.reshape(x.shape)[()]] * len(groups) for _ in kinds]
-        center, radius, coeff = self._cols
+        # Python's power squares each radius, as the per-bump formula does: with
+        # glibc 2.36, pow(r, 2) and r*r differ in the last bit for about one r in 1,200.
+        cols = [(b.center, b.radius, b.radius**2, a) for bs in sums for b, a in zip(bs.bumps, bs.coeffs)]
+        center, radius, radius2, coeff = np.array(cols, dtype=float).reshape(-1, 4, 1).transpose(1, 0, 2)
         t = (x.reshape(-1) - center) / radius
         s = np.maximum(0.0, 1.0 - t * t)
+        rows = {
+            # The power only where s is not 0: 0**3 is 0, and NumPy's power is slow there.
+            "value": lambda: np.power(s, 3, out=np.zeros_like(s), where=s != 0.0),
+            "deriv": lambda: -6.0 * t * s * s / radius,
+            "deriv2": lambda: 6.0 * s * (5.0 * t * t - 1.0) / radius2,
+        }
+        ends = list(accumulate((len(bs.bumps) for bs in sums), initial=0))
         out = []
         for kind in kinds:
-            if kind == "value":
-                # The power only where s is not 0 (0**3 is 0), and for a lone
-                # point the scalar power, which NumPy's array power (it can
-                # take a SIMD path) does not always match.
-                if x.ndim:
-                    rows = np.power(s, 3, out=np.zeros_like(s), where=s != 0.0)
-                else:
-                    rows = np.reshape([v**3 for v in s.ravel()], s.shape)
-            elif kind == "deriv":
-                rows = -6.0 * t * s * s / radius
-            elif kind == "deriv2":
-                # Each radius squared alone, by Python's power, as the
-                # per-bump formula squares it.
-                radius2 = np.array([[b.radius**2] for b in self.bumps])
-                rows = 6.0 * s * (5.0 * t * t - 1.0) / radius2
-            else:
-                raise ValueError(f"unknown kind {kind!r}")
-            rows = coeff * rows
-            out.append([sum(rows[g], zero).reshape(x.shape)[()] for g in groups])
+            weighted = coeff * rows[kind]()
+            # The builtin sum adds the rows in order at a lone point too, where
+            # np.add.reduce would sum a column of eight or more pairwise.
+            out.append([sum(weighted[i:j], np.zeros(x.size)).reshape(x.shape)[()] for i, j in zip(ends, ends[1:])])
         return out
 
     def with_bump(self, coeff: float, bump: Bump) -> "BumpSum":
@@ -372,8 +346,10 @@ def residual_report(curve: GraphCurve, alpha: float, u: DirectionSpec, num: int 
     knots, so on a Numeric curve each maximum also takes the two Gauss points
     ``mid +- h/(2*sqrt(3))`` of every knot cell, where the interpolation error
     shows; the residual rows stay on the grid.  Only y, z and w's admissible
-    derivatives are read, never w's values.
+    derivatives are read, never w's values.  num must be an integer of at least 2.
     """
+    if not (isinstance(num, (int, np.integer)) and num >= 2):
+        raise InvalidParams(f"residual_report needs an integer num >= 2, got {num!r}")
     a, b = curve.domain
     xs = np.linspace(a, b, num)
     x = xs

@@ -67,6 +67,19 @@ class TestGenerate:
         assert summary["admissibility_max"] < 1e-10
         assert summary["characterization_re_max"] < 1e-10
 
+    @pytest.mark.parametrize("argv, params", [
+        (("--alpha", "-1", "--R", "2", "--d1", "0.3"),
+         {"alpha": -1.0, "c": 1.0, "m": 0.0, "R": 2.0, "v": 0.0, "d1": 0.3, "d2": 0.0, "d3": 0.0,
+          "branch": "plus", "solve": False, "samples": 3}),
+        (("--alpha", "0.5", "--solve", "--domain=0.5:1.5", "--y0", "1.2", "--w0", "0.3", "--v", "0.2"),
+         {"alpha": 0.5, "v": 0.2, "x0": 1.0, "y0": 1.2, "yp0": 0.0, "z0": 0.0, "zp0": 0.0, "w0": 0.3,
+          "solve": True, "step": 0.001, "samples": 3}),
+    ], ids=("closed", "solve"))
+    def test_json_params_echo_what_the_curve_source_read(self, capsys, argv, params):
+        code, out, err = run_cli(capsys, "generate", *argv, "--samples", "3")
+        assert (code, err) == (0, "")
+        assert strict_json(out)["params"] == params
+
     def test_json_writes_nonfinite_values_as_null(self, capsys):
         # c = 1e-300 makes the first-integral residual NaN (see TestVerify).
         probe = ("generate", "--alpha", "1", "--c", "1e-300", "--samples", "3")

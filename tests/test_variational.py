@@ -356,6 +356,14 @@ class TestPerturbedCurve:
         assert np.array_equal(pert.w.deriv(xs), w_d1(xs))
         assert np.array_equal(pert.w.deriv2(xs), w_d2(xs))
 
+    def test_point_evaluates_as_the_grid(self):
+        base = catenary_alpha1(CatenaryParams(alpha=1.0, c=1.3, v=0.3, d1=0.4))
+        delta = BumpSum(TestBumpSum.BUMPS, TestBumpSum.COEFFS)
+        y = perturbed_curve(base, delta, EMPTY, 1.0).y
+        grid = np.linspace(-0.9, 0.9, 20001)
+        on_grid = y.value(grid)
+        assert all(same_bits(y.value(float(x)), want) for x, want in zip(grid, on_grid))
+
     def test_report_w_column_from_one_table(self):
         base = closed_form(CatenaryParams(alpha=1.0, c=1.3, v=0.8, d1=0.4))
         t0 = time.perf_counter()
@@ -462,12 +470,21 @@ class TestBumpSum:
 
     @pytest.mark.parametrize("part", ["value", "deriv", "deriv2"])
     def test_points_match_the_per_bump_sum(self, part):
+        """A lone point rounds as it does inside a grid: as the per-bump sum over the grid."""
         bs = BumpSum(self.BUMPS, self.COEFFS)
-        for p in self.POINTS:
+        on_grid = per_bump_sum(bs.bumps, bs.coeffs, self.POINTS, part)
+        for p, want in zip(self.POINTS, on_grid):
             for x in (float(p), np.asarray(p)):
                 got = getattr(bs, part)(x)
                 assert type(got) is np.float64
-                assert same_bits(got, per_bump_sum(bs.bumps, bs.coeffs, x, part))
+                assert same_bits(got, want)
+
+    def test_deriv2_squares_each_radius_as_the_per_bump_sum(self):
+        # 0.0934193579385649**2, the C library's pow with glibc 2.36, differs
+        # from 0.0934193579385649*0.0934193579385649 in the last bit.
+        bs = BumpSum((Bump(0.1, 0.0934193579385649),), (1.0,))
+        x = np.linspace(0.0, 0.2, 41)
+        assert same_bits(bs.deriv2(x), per_bump_sum(bs.bumps, bs.coeffs, x, "deriv2"))
 
     def test_joint_pass_matches_each_sum(self):
         sums = (BumpSum(self.BUMPS[:2], self.COEFFS[:2]), EMPTY, BumpSum(self.BUMPS[2:], self.COEFFS[2:]))
@@ -567,6 +584,19 @@ class TestNodeSets:
             assert (len(var.delta_z.bumps) > len(var.delta_y.bumps)) == fixer_joins
             assert quadrature._partition.cache_info().misses == (1 if fixer_joins else 2)
 
+    @pytest.mark.parametrize("panels", [0, -5, 2.5])
+    def test_rejects_panel_counts_below_one(self, panels):
+        cv = closed_form(CatenaryParams(alpha=1.0))
+        var = make_constrained_variation(cv, 0)
+        for integrate in (
+            lambda: partitioned_nodes(-1.0, 1.0, (), panels),
+            lambda: energy(cv, VERTICAL, 1.0, panels=panels),
+            lambda: make_constrained_variation(cv, 0, panels=panels),
+            lambda: first_variation(cv, var, VERTICAL, 1.0, panels=panels),
+        ):
+            with pytest.raises(InvalidParams, match="panels"):
+                integrate()
+
     def test_overflowing_constraint_raises(self):
         # On an interval 2e-300 wide the bump slopes times the curve's
         # overflow, and the constraint integral with them.
@@ -620,6 +650,11 @@ class TestReport:
         assert len(rep.grid) == 101
         assert rep.c_used == 2.0
         assert max(rep.max_abs.values()) < 1e-12
+
+    @pytest.mark.parametrize("num", [1, 0, -1, 2.5])
+    def test_rejects_fewer_than_two_points(self, num):
+        with pytest.raises(InvalidParams, match="num >= 2"):
+            residual_report(closed_form(CatenaryParams(alpha=1.0)), 1.0, VERTICAL, num=num)
 
     def test_never_reads_w_values(self):
         # Every residual reads w only through its derivatives, so building
