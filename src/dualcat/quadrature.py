@@ -51,9 +51,9 @@ def partitioned_nodes(a: float, b: float, breakpoints, panels: int = PANELS) -> 
     piece gets panels proportional to its width, at least one.  The last rule
     built is kept: a variation's constraint and its first variation ask for
     the same one.  The arrays are therefore shared, and read-only.  panels
-    must be an integer of at least 1.
+    must be an integer of at least 1, and not a bool.
     """
-    if not (isinstance(panels, (int, np.integer)) and panels >= 1):
+    if not (isinstance(panels, (int, np.integer)) and not isinstance(panels, bool) and panels >= 1):
         raise InvalidParams(f"panels must be an integer of at least 1, got {panels!r}")
     return _partition(a, b, tuple(breakpoints), panels)
 

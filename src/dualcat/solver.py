@@ -138,6 +138,9 @@ def solve_curve(
     A domain that is not a whole number of steps from x0 is also marked
     truncated: its end nodes fall short of the requested ends.
     """
+    for name, val in (("alpha", alpha), ("v", v)):
+        if not math.isfinite(val):
+            raise InvalidParams(f"{name} must be finite, got {val}")
     a, b = float(domain[0]), float(domain[1])
     if not (a < b and np.isfinite(a) and np.isfinite(b)):
         raise InvalidParams(f"domain must be a finite interval with a < b, got ({a}, {b})")

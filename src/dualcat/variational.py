@@ -30,9 +30,9 @@ VARIATION_AMP = 0.05
 # Random bumps drawn for each component of a seeded variation.
 RANDOM_BUMPS = 3
 
-# Thresholds for the solvability of the one-dimensional constraint correction.
-FIXER_DENOM_MIN = 1e-10
-CONSTRAINT_NEGLIGIBLE = 1e-12
+# An integral counts as zero up to this fraction of the integral of its integrand's
+# size: a structural zero sits at 1e-16 of that or less, a real value at 1e-3 or more.
+VANISHING = 1e-10
 
 
 @dataclass(frozen=True)
@@ -225,9 +225,10 @@ def make_constrained_variation(
 
     RANDOM_BUMPS bumps are drawn for each component; a fixed central bump added to delta_z
     absorbs the constraint integral, which splits at the curve's breakpoints and bump edges.
-    When the correction is unsolvable (its denominator vanishes while the constraint does
-    not) the seed is rejected with DegenerateVariation; when either integral overflows,
-    as the slopes of a bump on a very short interval can make it, NumericalFailure is raised.
+    An integral counts as zero up to VANISHING times the integral of its integrand's size,
+    so whether the fixer's vanishes depends on the curve and not on the seed; where it does
+    and the constraint does not, DegenerateVariation is raised.  When either integral
+    overflows, as the slopes of a bump on a very short interval can make it, NumericalFailure is raised.
     """
     a, b = curve.domain
     rng = np.random.default_rng(seed)
@@ -246,10 +247,10 @@ def make_constrained_variation(
     if not (math.isfinite(k_raw) and math.isfinite(denom)):
         raise NumericalFailure(f"seed {seed}: constraint integral {k_raw:.3e} or its correction {denom:.3e} is not finite")
 
-    if abs(denom) < FIXER_DENOM_MIN:
-        if abs(k_raw) > CONSTRAINT_NEGLIGIBLE:
+    if abs(denom) <= VANISHING * float(np.dot(wts, np.abs(yp * fp))):
+        if abs(k_raw) > VANISHING * float(np.dot(wts, np.abs(yp * dzp) + np.abs(zp * dyp))):
             raise DegenerateVariation(
-                f"seed {seed}: constraint {k_raw:.3e} cannot be corrected, denominator {denom:.3e}"
+                f"the fixer integral {denom:.3e} vanishes on this curve, so it cannot absorb the constraint {k_raw:.3e}"
             )
         corrected = dz
     else:

@@ -474,6 +474,13 @@ class TestVariation:
         assert code == 0
         assert (info.misses, info.hits + info.misses) == (builds, 6)
 
+    def test_steep_line_passes(self, capsys):
+        # The fixer integral of a line vanishes whatever its slope, so every seed builds.
+        code, out, err = run_cli(capsys, "variation", "--alpha", "0", "--c", "1e6", "--m", "2e6", "--count", "20")
+        assert (code, err) == (0, "")
+        assert out.count("dE = ") == 20
+        assert out.splitlines()[-1] == "result                 PASS"
+
     def test_overflowing_constraint_is_an_error(self, capsys):
         code, out, err = run_cli(
             capsys, "variation", "--alpha", "1", "--perturb", "0.1", "--domain=-1e-300:1e-300", "--count", "1"

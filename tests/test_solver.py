@@ -191,6 +191,13 @@ class TestRealSolve:
         with pytest.raises(InvalidParams, match=f"{field} must be finite"):
             solve_curve(1.0, init, (-1.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_alpha_and_v_rejected(self, bad):
+        with pytest.raises(InvalidParams, match="alpha must be finite"):
+            solve_curve(bad, COSH_INIT, (-1.0, 1.0))
+        with pytest.raises(InvalidParams, match="v must be finite"):
+            solve_curve(1.0, COSH_INIT, (-1.0, 1.0), bad)
+
     def test_step_count_capped_before_marching(self, monkeypatch):
         def no_march(*args):
             raise AssertionError("marched")

@@ -273,9 +273,20 @@ class TestVariations:
         # constraint does not: no single-bump correction can absorb it.
         y = Coordinate(lambda x: np.sinh(x) + 2.0, np.cosh, np.sinh)
         cv = GraphCurve((-1.0, 1.0), y, Coordinate.constant(0.0), Coordinate.constant(0.0))
-        with pytest.raises(DegenerateVariation):
-            for seed in range(10):
+        # The fixer integral vanishes for the curve, so every seed raises.
+        for seed in range(10):
+            with pytest.raises(DegenerateVariation, match="fixer integral"):
                 make_constrained_variation(cv, seed)
+
+    @pytest.mark.parametrize("c", [1e5, 1e8])
+    def test_steep_line_keeps_the_fixer_out(self, c):
+        # At exponent 0 the curve is a line and the fixer integral vanishes
+        # structurally, however steep: every seed builds, and the rounding
+        # left in either integral never brings the fixer in.
+        cv = catenary_alpha0(CatenaryParams(alpha=0.0, c=c, m=2.0 * c))
+        for seed in range(20):
+            var = make_constrained_variation(cv, seed)
+            assert len(var.delta_z.bumps) == variational.RANDOM_BUMPS
 
     def test_stationary_first_variation_vanishes(self):
         cases = [
@@ -584,7 +595,7 @@ class TestNodeSets:
             assert (len(var.delta_z.bumps) > len(var.delta_y.bumps)) == fixer_joins
             assert quadrature._partition.cache_info().misses == (1 if fixer_joins else 2)
 
-    @pytest.mark.parametrize("panels", [0, -5, 2.5])
+    @pytest.mark.parametrize("panels", [0, -5, 2.5, True])
     def test_rejects_panel_counts_below_one(self, panels):
         cv = closed_form(CatenaryParams(alpha=1.0))
         var = make_constrained_variation(cv, 0)
