@@ -23,6 +23,10 @@ TABLE_MAX_HALVINGS = 40
 # Relative agreement that rounding alone can prevent a cell from reaching.
 ROUNDING = 64.0 * np.finfo(float).eps
 
+# OpenBLAS splits a dot product of more terms than this over its threads,
+# which changes how the sum rounds; a dot of at most this many is one thread's.
+DOT_CHUNK = 10_000
+
 
 @cache
 def gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray]:
@@ -34,6 +38,16 @@ def gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray]:
     t.setflags(write=False)
     w.setflags(write=False)
     return t, w
+
+
+def integrate(wts: np.ndarray, f: np.ndarray) -> float:
+    """The rule's sum of ``wts * f``: one np.dot per chunk of at most DOT_CHUNK
+    terms, the chunks added in order, so no BLAS thread count decides its bits.
+    The sum starts from the first chunk, so a -0.0 stays -0.0."""
+    total = float(np.dot(wts[:DOT_CHUNK], f[:DOT_CHUNK]))
+    for k in range(DOT_CHUNK, len(wts), DOT_CHUNK):
+        total += float(np.dot(wts[k:k + DOT_CHUNK], f[k:k + DOT_CHUNK]))
+    return total
 
 
 def sorted_unique(values) -> list[float]:
@@ -61,7 +75,7 @@ def partitioned_nodes(a: float, b: float, breakpoints, panels: int = PANELS) -> 
 @lru_cache(maxsize=1)
 def _partition(a: float, b: float, breakpoints: tuple, panels: int) -> tuple[np.ndarray, np.ndarray]:
     span = b - a
-    tol = 1e-12 * max(1.0, span)
+    tol = 1e-12 * span
     # Breakpoints closer than tol to an end or to the previous breakpoint are
     # dropped; a and b always stay, however short the interval.
     edges, prev = [a], a

@@ -7,13 +7,7 @@ it bit for bit; the tests check this against scipy.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
 import numpy as np
-
-# Inputs of at most this many points are evaluated one by one on Python floats,
-# which is several times faster than the array path for a handful of points.
-SMALL = 16
 
 
 class HermiteSpline:
@@ -25,7 +19,7 @@ class HermiteSpline:
     Sums start from 0.0 as scipy's do, so a constant term -0.0 gives 0.0.
     """
 
-    __slots__ = ("x", "coefs", "_inner", "_rows")
+    __slots__ = ("x", "coefs", "_inner")
 
     def __init__(self, x, y, dydx):
         x = np.asarray(x, dtype=float)
@@ -40,7 +34,6 @@ class HermiteSpline:
         self.x = x
         self.coefs = coefs
         self._inner = x[1:-1]
-        self._rows = None
 
     def derivative(self) -> "HermiteSpline":
         """The spline's exact derivative, one degree lower."""
@@ -51,38 +44,12 @@ class HermiteSpline:
 
     def __call__(self, x):
         """Values at x: a float for a scalar, an array of x's shape otherwise."""
-        if isinstance(x, float):
-            return self._points((x,))[0]
         x = np.asarray(x, dtype=float)
-        if x.size <= SMALL:
-            vals = self._points(x.ravel().tolist())
-            return vals[0] if x.ndim == 0 else np.array(vals).reshape(x.shape)
-        i = np.searchsorted(self._inner, x, side="right")
+        i = self._inner.searchsorted(x, side="right")
         s = x - self.x[i]
         res = 0.0 + self.coefs[-1][i]
         z = s
         for c in self.coefs[-2::-1]:
             res += c[i] * z
             z = z * s
-        return res
-
-    def _points(self, xs) -> list[float]:
-        """The same arithmetic on Python floats, point by point."""
-        if self._rows is None:
-            # Built on the first small call: knots as floats, and each cell's
-            # coefficients from the constant term up.
-            self._rows = (self.x.tolist(), self._inner.tolist(),
-                          list(zip(*(c.tolist() for c in reversed(self.coefs)))))
-        knots, inner, rows = self._rows
-        out = []
-        for v in xs:
-            i = bisect_right(inner, v)
-            s = v - knots[i]
-            row = rows[i]
-            res = 0.0 + row[0]
-            z = s
-            for c in row[1:]:
-                res = res + c * z
-                z = z * s
-            out.append(res)
-        return out
+        return float(res) if x.ndim == 0 else res

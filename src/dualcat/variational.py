@@ -63,9 +63,9 @@ def energy(
     pot = curve.height(u, x) ** alpha
     speed = dual_norm(curve.velocity(x))
     integrand = pot * speed
-    e0 = float(np.dot(wts, integrand.re))
-    e1 = float(np.dot(wts, pot.du * speed.re))
-    return EnergyValue(DualScalar(e0, float(np.dot(wts, integrand.du))), e0, e1)
+    e0 = quadrature.integrate(wts, integrand.re)
+    e1 = quadrature.integrate(wts, pot.du * speed.re)
+    return EnergyValue(DualScalar(e0, quadrature.integrate(wts, integrand.du)), e0, e1)
 
 
 def first_integral_residual(curve: GraphCurve, alpha: float, c: float, x):
@@ -242,13 +242,13 @@ def make_constrained_variation(
     zp = np.asarray(curve.z.deriv(x), float)
     dyp, dzp, fp = BumpSum._evaluate(x, (dy, dz, fixer), "deriv")[0]
 
-    k_raw = float(np.dot(wts, yp * dzp + zp * dyp))
-    denom = float(np.dot(wts, yp * fp))
+    k_raw = quadrature.integrate(wts, yp * dzp + zp * dyp)
+    denom = quadrature.integrate(wts, yp * fp)
     if not (math.isfinite(k_raw) and math.isfinite(denom)):
         raise NumericalFailure(f"seed {seed}: constraint integral {k_raw:.3e} or its correction {denom:.3e} is not finite")
 
-    if abs(denom) <= VANISHING * float(np.dot(wts, np.abs(yp * fp))):
-        if abs(k_raw) > VANISHING * float(np.dot(wts, np.abs(yp * dzp) + np.abs(zp * dyp))):
+    if abs(denom) <= VANISHING * quadrature.integrate(wts, np.abs(yp * fp)):
+        if abs(k_raw) > VANISHING * quadrature.integrate(wts, np.abs(yp * dzp) + np.abs(zp * dyp)):
             raise DegenerateVariation(
                 f"the fixer integral {denom:.3e} vanishes on this curve, so it cannot absorb the constraint {k_raw:.3e}"
             )
@@ -259,7 +259,7 @@ def make_constrained_variation(
         # corrected.deriv(x) bit for bit: BumpSum sums in order, fixer last.
         dzp = dzp + coeff * fp
 
-    k_final = float(np.dot(wts, yp * dzp + zp * dyp))
+    k_final = quadrature.integrate(wts, yp * dzp + zp * dyp)
     return VariationField(dy, corrected, k_final)
 
 
@@ -317,7 +317,7 @@ def first_variation(
     speed = dual_norm(vel)
     d_height = DualScalar(dyv, dzv)
     integrand = alpha * height ** (alpha - 1.0) * d_height * speed + height**alpha * dual_dot(vel, dvel) / speed
-    return DualScalar(float(np.dot(wts, integrand.re)), float(np.dot(wts, integrand.du)))
+    return DualScalar(quadrature.integrate(wts, integrand.re), quadrature.integrate(wts, integrand.du))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -481,6 +482,16 @@ class TestVariation:
         assert out.count("dE = ") == 20
         assert out.splitlines()[-1] == "result                 PASS"
 
+    def test_line_on_a_tiny_domain_passes(self, capsys):
+        # A line's constraint integral vanishes when the panels split at the
+        # bump edges, which they do on a domain 1e-12 wide as on any other.
+        code, out, err = run_cli(
+            capsys, "variation", "--alpha", "0", "--c", "1.5", "--m", "2", "--domain=0:1e-12", "--count", "5"
+        )
+        assert (code, err) == (0, "")
+        assert out.count("dE = ") == 5
+        assert out.splitlines()[-1] == "result                 PASS"
+
     def test_overflowing_constraint_is_an_error(self, capsys):
         code, out, err = run_cli(
             capsys, "variation", "--alpha", "1", "--perturb", "0.1", "--domain=-1e-300:1e-300", "--count", "1"
@@ -498,6 +509,25 @@ class TestVariation:
             f"{'max_abs_re':<22} nan", f"{'max_abs_du':<22} nan", f"{'tolerance':<22} 1.0000000000000001e-05",
             f"{'result':<22} FAIL",
         ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("energy", "--alpha", "-1", "--v", "0.3", "--d1", "0.2", "--d2", "0.5", "--panels", "3000"),
+        ("variation", "--alpha", "1", "--c", "1.3", "--v", "0.4", "--d1", "0.2", "--perturb", "0.1",
+         "--panels", "3000", "--count", "2"),
+    ],
+)
+def test_output_does_not_depend_on_blas_threads(argv):
+    # 3000 panels give 15,000 nodes, more than OpenBLAS sums on one thread.
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-m", "dualcat", *argv], capture_output=True, env=env, timeout=120)
+        runs.append((proc.returncode, proc.stdout, proc.stderr))
+    assert runs[0] == runs[1]
+    assert runs[0][1].count(b"\n") >= 3
 
 
 def test_variation_and_energy_leave_numpy_ma_unloaded():

@@ -368,13 +368,14 @@ class TestArcLengthTable:
             assert np.array_equal(table_edges((a, b), y, ()), np.concatenate(([a], knots[1:-1], [b])))
 
 
-# Intervals no longer than the merge tolerance, or with breakpoints closer
-# than it to an end or to each other.
+# Very short intervals, and breakpoints closer than the merge tolerance to an
+# end or to each other.
 SHORT_DOMAINS = [
-    (0.0, 1.9e-98, ()),  # shorter than the merge tolerance
+    (0.0, 1.9e-98, ()),
     (0.0, 1e-13, (5e-14,)),
     (-1.0, 1.0, (0.5, 1.0 - 1e-13)),  # a breakpoint next to b
     (-1.0, 1.0, (-1.0 + 1e-13, 0.5, 0.5 + 1e-13)),
+    (0.0, 1e-13, (5e-14, 5e-14 + 1e-27, 1e-27)),  # closer than the merge tolerance
 ]
 
 
@@ -382,7 +383,7 @@ def per_piece_partition(a, b, breakpoints, panels):
     """The composite rule built one piece at a time with np.linspace: the
     reference that the vectorized ``partitioned_nodes`` must match bit for bit."""
     span = b - a
-    tol = 1e-12 * max(1.0, span)
+    tol = 1e-12 * span
     pts = np.unique(np.asarray([p for p in breakpoints if a + tol < p < b - tol], dtype=float))
     edges = np.concatenate(([a], pts[np.diff(pts, prepend=a) > tol], [b]))
     t, w = np.polynomial.legendre.leggauss(quadrature.GL_ORDER)
@@ -445,9 +446,38 @@ class TestRule:
             # and closer to a neighbour or an end than the merge tolerance.
             pts = list(rng.uniform(a - 0.3 * span, b + 0.3 * span, rng.integers(0, 16)))
             if pts:
-                pts += [pts[0], pts[-1] + 1e-13 * max(1.0, span) * rng.uniform(0.0, 2.0)]
+                pts += [pts[0], pts[-1] + 1e-13 * span * rng.uniform(0.0, 2.0)]
             pts += [a, b, a + 1e-13 * span, b - 1e-13 * span]
             panels = int(rng.integers(1, 101))
             got = quadrature.partitioned_nodes(a, b, pts, panels)
             want = per_piece_partition(a, b, pts, panels)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_merge_tolerance_is_relative_to_the_span(self):
+        # Bump edges on a domain 1e-12 wide stay panel edges, and points
+        # closer than 1e-12 times the span to an end or to each other merge.
+        x, _ = quadrature.partitioned_nodes(0.0, 1e-12, (0.3e-12, 0.3e-12 + 1e-26, 0.45e-12, 1e-12 - 1e-26), 4)
+        order = quadrature.GL_ORDER
+        assert len(x) == 6 * order
+        assert [np.count_nonzero(x < p) for p in (0.3e-12, 0.45e-12)] == [2 * order, 3 * order]
+
+    @pytest.mark.parametrize("n", [1, 5, 9_999, 10_000, 10_001, 25_003])
+    def test_integrate_matches_fsum(self, n):
+        for seed in range(3):
+            rng = np.random.default_rng([seed, n])
+            wts, f = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
+            got = quadrature.integrate(wts, f)
+            want = math.fsum(wts * f)
+            assert abs(got - want) <= 8 * math.ulp(want)
+            if n <= quadrature.DOT_CHUNK:
+                assert got == float(np.dot(wts, f))
+
+    def test_integrate_adds_chunks_in_order(self):
+        rng = np.random.default_rng(3)
+        wts, f = rng.uniform(0.0, 1.0, 25_003), rng.normal(size=25_003)
+        chunks = [float(np.dot(wts[k:k + 10_000], f[k:k + 10_000])) for k in (0, 10_000, 20_000)]
+        assert quadrature.integrate(wts, f) == (chunks[0] + chunks[1]) + chunks[2]
+
+    def test_integrate_keeps_a_negative_zero(self):
+        got = quadrature.integrate(np.ones(1), np.array([-0.0]))
+        assert got == 0.0 and math.copysign(1.0, got) == -1.0

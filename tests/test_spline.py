@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicHermiteSpline
 
-from dualcat.spline import SMALL, HermiteSpline
+from dualcat.spline import HermiteSpline
 
 
 def knots_and_data(n: int, seed: int):
@@ -42,9 +42,9 @@ def test_matches_scipy_on_arrays(n):
     pts = probe_points(x, seed=n)
     for ref, new in splines:
         assert np.array_equal(new(pts), ref(pts))
-        # Small inputs take the Python-float path.
-        for k in range(0, len(pts) - SMALL, 613):
-            for size in (1, 6, SMALL):
+        # A few points at a time as well as the whole array at once.
+        for k in range(0, len(pts) - 17, 613):
+            for size in (1, 6, 16, 17):
                 chunk = pts[k:k + size]
                 assert np.array_equal(new(chunk), ref(chunk))
 
@@ -56,9 +56,11 @@ def test_matches_scipy_on_scalars(n):
     for ref, new in splines:
         for p in pts:
             got = new(float(p))
-            assert isinstance(got, float)
+            assert type(got) is float
             assert got == float(ref(float(p)))
-            assert new(np.float64(p)) == got and new(np.asarray(p)) == got
+            at_0d = new(np.asarray(p))
+            assert type(at_0d) is float and at_0d == got
+            assert new(np.float64(p)) == got
 
 
 def test_shapes_follow_input():
