@@ -25,7 +25,7 @@ import numpy as np
 from .closed_forms import DEFAULT_DOMAIN, FAMILIES, CatenaryParams, closed_form
 from .curves import GraphCurve, Numeric
 from .dual import DirectionSpec
-from .errors import DualcatError, ImmediateSingularity, NumericalFailure
+from .errors import DualcatError, ImmediateSingularity, InvalidParams, NumericalFailure
 from .quadrature import PANELS
 from .solver import STEP, InitialData, solve_curve
 from .variational import (
@@ -66,10 +66,6 @@ CLOSED_FLAGS = ("c", "m", "R", "d1", "d2", "d3", "branch")
 INITIAL_FLAGS = ("y0", "yp0", "z0", "zp0", "w0")
 
 
-class UsageError(DualcatError):
-    pass
-
-
 def _g17(v: float) -> str:
     return format(float(v), ".17g")
 
@@ -79,9 +75,9 @@ def _parse_domain(text: str) -> tuple[float, float]:
         lo_s, hi_s = text.split(":")
         lo, hi = float(lo_s), float(hi_s)
     except ValueError as exc:
-        raise UsageError(f"--domain expects lo:hi, got {text!r}") from exc
+        raise InvalidParams(f"--domain expects lo:hi, got {text!r}") from exc
     if not lo < hi:
-        raise UsageError(f"--domain needs lo < hi, got {text!r}")
+        raise InvalidParams(f"--domain needs lo < hi, got {text!r}")
     return lo, hi
 
 
@@ -89,15 +85,15 @@ def _validate(args) -> None:
     """Reject non-finite float flags and integer flags outside their bounds."""
     for name, val in vars(args).items():
         if isinstance(val, float) and not math.isfinite(val):
-            raise UsageError(f"--{name.replace('_', '-')} must be finite, got {val}")
+            raise InvalidParams(f"--{name.replace('_', '-')} must be finite, got {val}")
     for name, low in INT_MINIMUM.items():
         if getattr(args, name, low) < low:
-            raise UsageError(f"--{name} must be at least {low}")
+            raise InvalidParams(f"--{name} must be at least {low}")
     for name, high in INT_MAXIMUM.items():
         if getattr(args, name, high) > high:
-            raise UsageError(f"--{name} must be at most {high}")
+            raise InvalidParams(f"--{name} must be at most {high}")
     if getattr(args, "tol", None) is not None and args.tol < 0.0:
-        raise UsageError(f"--tol must not be negative, got {args.tol}")
+        raise InvalidParams(f"--tol must not be negative, got {args.tol}")
 
 
 def _gate(values: dict, tol: float, **shown: float) -> int:
@@ -231,14 +227,14 @@ def _build_curve(args, family_alpha: float) -> GraphCurve:
     unread = _given(args, CLOSED_FLAGS if args.solve else (*INITIAL_FLAGS, "step"))
     if unread:
         flags = ", ".join(f"--{name}" for name in unread)
-        raise UsageError(f"--solve does not read {flags}" if args.solve else f"only --solve reads {flags}")
+        raise InvalidParams(f"--solve does not read {flags}" if args.solve else f"only --solve reads {flags}")
 
     if args.solve:
         init, span = _initial_data(args)
         return solve_curve(family_alpha, init, span, args.v, **_given(args, ("step",)))
 
     if family_alpha not in FAMILIES:
-        raise UsageError(
+        raise InvalidParams(
             f"exponent {family_alpha:g} has no closed form; pass --solve to integrate numerically"
         )
     return closed_form(_params(args, family_alpha), domain)

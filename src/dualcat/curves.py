@@ -259,9 +259,6 @@ class GraphCurve:
         """``Frame.characterization`` at x, a point or an array of points."""
         return self.frame(x).characterization(alpha, u, self.height(u, x))
 
-    def _table_edges(self) -> np.ndarray:
-        return table_edges(self.domain, self.y, self.breakpoints)
-
     @cached_property
     def _arclength_table(self) -> quadrature.CumulativeIntegral:
         """Cumulative arc length of the real part, built on first use.
@@ -272,7 +269,8 @@ class GraphCurve:
         # The speed holds y, not the curve: a table that reached back to the
         # curve caching it would be a reference cycle.
         y = self.y
-        return quadrature.CumulativeIntegral(lambda x: np.hypot(1.0, y.deriv(x)), self._table_edges())
+        edges = table_edges(self.domain, y, self.breakpoints)
+        return quadrature.CumulativeIntegral(lambda x: np.hypot(1.0, y.deriv(x)), edges)
 
     def arc_length(self, x0: float, x1: float) -> float:
         """Euclidean arc length of the real part between x0 and x1."""
@@ -299,7 +297,7 @@ class GraphCurve:
             return a
         if s >= total - ARCLEN_TOL:
             return b
-        k = int(np.searchsorted(table.sums, s, side="right")) - 1
+        k = int(table.sums.searchsorted(s, side="right")) - 1
         lo, hi = float(table.edges[k]), float(table.edges[k + 1])
         s_lo, s_hi = float(table.sums[k]), float(table.sums[k + 1])
         x = lo + (hi - lo) * (s - s_lo) / (s_hi - s_lo)

@@ -23,10 +23,6 @@ TABLE_MAX_HALVINGS = 40
 # Relative agreement that rounding alone can prevent a cell from reaching.
 ROUNDING = 64.0 * np.finfo(float).eps
 
-# OpenBLAS splits a dot product of more terms than this over its threads,
-# which changes how the sum rounds; a dot of at most this many is one thread's.
-DOT_CHUNK = 10_000
-
 
 @cache
 def gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray]:
@@ -41,13 +37,10 @@ def gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray]:
 
 
 def integrate(wts: np.ndarray, f: np.ndarray) -> float:
-    """The rule's sum of ``wts * f``: one np.dot per chunk of at most DOT_CHUNK
-    terms, the chunks added in order, so no BLAS thread count decides its bits.
-    The sum starts from the first chunk, so a -0.0 stays -0.0."""
-    total = float(np.dot(wts[:DOT_CHUNK], f[:DOT_CHUNK]))
-    for k in range(DOT_CHUNK, len(wts), DOT_CHUNK):
-        total += float(np.dot(wts[k:k + DOT_CHUNK], f[k:k + DOT_CHUNK]))
-    return total
+    """The rule's sum of ``wts * f``: a product and NumPy's pairwise sum, with
+    no BLAS call, so no BLAS kernel or thread count decides its bits.  The sum
+    starts from -0.0, so a lone -0.0 stays -0.0."""
+    return float(np.add.reduce(wts * f, initial=-0.0))
 
 
 def sorted_unique(values) -> list[float]:
@@ -177,6 +170,6 @@ class CumulativeIntegral:
 
     def __call__(self, x):
         """``F(x)``; x may be a point or an array, and ``F(b)`` is the table total exactly."""
-        k = np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, len(self.edges) - 1)
+        k = self.edges[1:].searchsorted(x, side="right")
         value, _ = self.partial(k, x)
         return value

@@ -173,9 +173,6 @@ class BumpSum:
             out.append([sum(weighted[i:j], np.zeros(x.size)).reshape(x.shape)[()] for i, j in zip(ends, ends[1:])])
         return out
 
-    def with_bump(self, coeff: float, bump: Bump) -> "BumpSum":
-        return BumpSum(self.bumps + (bump,), self.coeffs + (coeff,))
-
     def edges(self) -> tuple[float, ...]:
         """Support endpoints of every bump (the smoothness breakpoints)."""
         out = []
@@ -255,7 +252,7 @@ def make_constrained_variation(
         corrected = dz
     else:
         coeff = -k_raw / denom
-        corrected = dz.with_bump(coeff, fixer.bumps[0])
+        corrected = BumpSum(dz.bumps + fixer.bumps, dz.coeffs + (coeff,))
         # corrected.deriv(x) bit for bit: BumpSum sums in order, fixer last.
         dzp = dzp + coeff * fp
 

@@ -36,6 +36,7 @@ from dualcat import (
     solve_curve,
 )
 from dualcat import quadrature, variational
+from dualcat.curves import table_edges
 from dualcat.quadrature import partitioned_nodes
 from references import el_residual_dual, el_residual_real, multiplier_residual
 
@@ -266,7 +267,7 @@ class TestVariations:
             assert len(dz.bumps) == len(dy.bumps) + 1  # the fixer joined
             x, wts = partitioned_nodes(a, b, cv.breakpoints + dy.edges() + dz.edges())
             yp, zp = np.asarray(cv.y.deriv(x), float), np.asarray(cv.z.deriv(x), float)
-            assert var.constraint == float(np.dot(wts, yp * dz.deriv(x) + zp * dy.deriv(x)))
+            assert var.constraint == quadrature.integrate(wts, yp * dz.deriv(x) + zp * dy.deriv(x))
 
     def test_degenerate_seed_rejected(self):
         # y' even and z' = 0 make the fixer integral vanish while the raw
@@ -360,7 +361,7 @@ class TestPerturbedCurve:
         def w_d2(x):
             return -(pert.y.deriv2(x) * pert.z.deriv(x) + pert.y.deriv(x) * pert.z.deriv2(x))
 
-        table = quadrature.CumulativeIntegral(w_d1, pert._table_edges())
+        table = quadrature.CumulativeIntegral(w_d1, table_edges(pert.domain, pert.y, pert.breakpoints))
         w0 = float(cv.w.value(a))
         xs = np.random.default_rng(seed).uniform(*cv.domain, 501)
         assert np.array_equal(pert.w.value(xs), w0 + table(xs))
@@ -538,9 +539,9 @@ class TestBumpSum:
     def test_rejects_bad_input(self, bumps, coeffs):
         with pytest.raises(InvalidParams):
             BumpSum(bumps, coeffs)
-        if len(bumps) == len(coeffs) == 1:
-            with pytest.raises(InvalidParams):
-                EMPTY.with_bump(coeffs[0], bumps[0])
+        # Appended to a valid sum, as make_constrained_variation appends its fixer.
+        with pytest.raises(InvalidParams):
+            BumpSum(self.BUMPS + bumps, self.COEFFS + coeffs)
 
 
 def uniform_call_bumps(rng, a, b):
