@@ -13,11 +13,12 @@ at a point or on a whole grid.  Float inputs give float results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ZeroRealPart
+from .errors import DomainError, InvalidParams, ZeroRealPart
 
 # Magnitudes at or below this count as zero: a vector's norm, and the square of
 # a divisor's real part (the eps part of a quotient divides by it).
@@ -78,11 +79,14 @@ class DualScalar:
         return _coerce(other) / self
 
     def __pow__(self, p: float) -> "DualScalar":
-        """Real power ``re**p + p*du*re**(p-1)*eps``; needs ``re > 0`` unless p is an integer >= 1.
+        """Real power ``re**p + p*du*re**(p-1)*eps``; needs a finite p, and ``re > 0``
+        unless p is an integer >= 1.
 
         np.power, not the float operator, so points and grids round alike.
         """
         p = float(p)
+        if not math.isfinite(p):
+            raise InvalidParams(f"dual power needs a finite exponent, got {p}")
         if not (p.is_integer() and p >= 1.0) and np.any(self.re <= 0.0):
             raise DomainError(f"dual power {p:g} needs a positive real part")
         return DualScalar(
@@ -143,9 +147,13 @@ def dual_norm(u: DualVec2) -> DualScalar:
 
 @dataclass(frozen=True)
 class DirectionSpec:
-    """Reference direction ``(0, 1) + eps*(v, 0)``: vertical with a tilt rate v."""
+    """Reference direction ``(0, 1) + eps*(v, 0)``: vertical with a finite tilt rate v."""
 
     v: float = 0.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.v):
+            raise InvalidParams(f"v must be finite, got {self.v}")
 
     @property
     def vector(self) -> DualVec2:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that raises one."""
+
+from numbers import Integral
 
 
 class DualcatError(Exception):
@@ -31,3 +33,9 @@ class DegenerateVariation(DualcatError):
 
 class NumericalFailure(DualcatError):
     """A numerical method met a non-finite value or did not converge."""
+
+
+def check_integer(name: str, value, low: int) -> None:
+    """Raise InvalidParams unless value is an integer of at least low, and not a bool."""
+    if not (isinstance(value, Integral) and not isinstance(value, bool) and value >= low):
+        raise InvalidParams(f"expected an integer {name} >= {low}, got {value!r}")

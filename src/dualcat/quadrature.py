@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidParams, NumericalFailure
+from .errors import NumericalFailure, check_integer
 
 GL_ORDER = 5
 PANELS = 64
@@ -36,11 +36,11 @@ def gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def integrate(wts: np.ndarray, f: np.ndarray) -> float:
-    """The rule's sum of ``wts * f``: a product and NumPy's pairwise sum, with
-    no BLAS call, so no BLAS kernel or thread count decides its bits.  The sum
-    starts from -0.0, so a lone -0.0 stays -0.0."""
-    return float(np.add.reduce(wts * f, initial=-0.0))
+def integrate(wts: np.ndarray, f: np.ndarray) -> float | np.ndarray:
+    """The rule's sum of ``wts * f`` over the last axis, a float for 1-D input.  NumPy's pairwise
+    sum, not BLAS, so no kernel or thread count decides its bits; from -0.0, so -0.0 stays -0.0."""
+    out = np.add.reduce(wts * f, axis=-1, initial=-0.0)
+    return out if out.ndim else float(out)
 
 
 def sorted_unique(values) -> list[float]:
@@ -60,8 +60,7 @@ def partitioned_nodes(a: float, b: float, breakpoints, panels: int = PANELS) -> 
     the same one.  The arrays are therefore shared, and read-only.  panels
     must be an integer of at least 1, and not a bool.
     """
-    if not (isinstance(panels, (int, np.integer)) and not isinstance(panels, bool) and panels >= 1):
-        raise InvalidParams(f"panels must be an integer of at least 1, got {panels!r}")
+    check_integer("panels", panels, 1)
     return _partition(a, b, tuple(breakpoints), panels)
 
 
@@ -108,7 +107,7 @@ def _segment_integrals(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Integral of ``f`` over each segment [lo[k], hi[k]]."""
     nodes, half, w = _panel_nodes(lo, hi)
     vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    return half * (vals @ w)
+    return half * integrate(w, vals)
 
 
 class CumulativeIntegral:
@@ -158,15 +157,15 @@ class CumulativeIntegral:
         # f(x) from the same call.
         t, w = gauss_legendre_rule()
         self._unit_nodes = np.append(0.5 * (t + 1.0), 1.0)
-        self._unit_weights = 0.5 * w[:, None]
+        self._unit_weights = 0.5 * w
 
     def partial(self, k, x):
         """``(F(x), f(x))`` for x in (or at the edge of) cell k, from one call of f."""
         x = np.asarray(x, dtype=float)
         lo = self.edges[k]
-        width = (x - lo)[..., None]
-        vals = np.asarray(self.f(lo[..., None] + width * self._unit_nodes), dtype=float)
-        return self.sums[k] + (width * (vals[..., :-1] @ self._unit_weights))[..., 0], vals[..., -1]
+        width = x - lo
+        vals = np.asarray(self.f(lo[..., None] + width[..., None] * self._unit_nodes), dtype=float)
+        return self.sums[k] + width * integrate(self._unit_weights, vals[..., :-1]), vals[..., -1]
 
     def __call__(self, x):
         """``F(x)``; x may be a point or an array, and ``F(b)`` is the table total exactly."""

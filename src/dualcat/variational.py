@@ -21,7 +21,7 @@ import numpy as np
 from . import quadrature
 from .curves import ClosedForm, Coordinate, GraphCurve, Numeric, recover_w, table_edges
 from .dual import DirectionSpec, DualScalar, DualVec2, dual_dot, dual_norm
-from .errors import DegenerateVariation, InvalidParams, NumericalFailure
+from .errors import DegenerateVariation, InvalidParams, NumericalFailure, check_integer
 
 # Bump amplitude used for seeded variations; small enough that quadrature
 # error on the bump tails stays far below the stationarity tolerances.
@@ -226,7 +226,9 @@ def make_constrained_variation(
     so whether the fixer's vanishes depends on the curve and not on the seed; where it does
     and the constraint does not, DegenerateVariation is raised.  When either integral
     overflows, as the slopes of a bump on a very short interval can make it, NumericalFailure is raised.
+    seed must be an integer of at least 0, and not a bool.
     """
+    check_integer("seed", seed, 0)
     a, b = curve.domain
     rng = np.random.default_rng(seed)
     dy = _random_bumps(rng, a, b)
@@ -344,10 +346,12 @@ def residual_report(curve: GraphCurve, alpha: float, u: DirectionSpec, num: int 
     knots, so on a Numeric curve each maximum also takes the two Gauss points
     ``mid +- h/(2*sqrt(3))`` of every knot cell, where the interpolation error
     shows; the residual rows stay on the grid.  Only y, z and w's admissible
-    derivatives are read, never w's values.  num must be an integer of at least 2.
+    derivatives are read, never w's values.  num must be an integer of at least 2,
+    and not a bool, and alpha must be finite.
     """
-    if not (isinstance(num, (int, np.integer)) and num >= 2):
-        raise InvalidParams(f"residual_report needs an integer num >= 2, got {num!r}")
+    check_integer("num", num, 2)
+    if not math.isfinite(alpha):
+        raise InvalidParams(f"alpha must be finite, got {alpha}")
     a, b = curve.domain
     xs = np.linspace(a, b, num)
     x = xs

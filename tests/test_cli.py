@@ -518,13 +518,18 @@ class TestVariation:
         ("energy", "--alpha", "-1", "--v", "0.3", "--d1", "0.2", "--d2", "0.5", "--panels", "3000"),
         ("variation", "--alpha", "1", "--c", "1.3", "--v", "0.4", "--d1", "0.2", "--perturb", "0.1",
          "--panels", "3000", "--count", "2"),
+        ("generate", "--alpha", "1.7", "--solve", "--domain=-0.5:0.9", "--z0", "0.3", "--zp0", "-0.2", "--v", "0.2",
+         "--samples", "301", "--format", "csv"),
     ],
 )
 def test_output_does_not_depend_on_blas_kernel_or_threads(argv):
-    # 3000 panels give 15,000 nodes, more than OpenBLAS sums on one thread.
-    # The SSE3 Prescott kernel runs on every x86-64 CPU and rounds a dot
-    # differently from the AVX kernels; a kernel that needs AVX2 or AVX-512
-    # may not run on the CPU at hand, so none is forced.
+    # Each printed digit comes from a rule sum: the composite rules of energy
+    # and variation, here 15,000 nodes (more than OpenBLAS sums on one
+    # thread), and the 5-point sums of the table that a solve's w column
+    # reads.  The SSE3 Prescott kernel runs on every x86-64 CPU and, without
+    # FMA, rounds a dot differently from the AVX2 and AVX-512 kernels; a
+    # kernel that needs AVX2 or AVX-512 may not run on the CPU at hand, so
+    # none is forced.
     envs = [{"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}]
     if platform.machine() in ("x86_64", "AMD64"):
         envs.append({"OPENBLAS_CORETYPE": "Prescott"})

@@ -343,23 +343,43 @@ class TestArcLengthTable:
         assert sum(calls[built:]) <= 3 * 4 * 6
         assert total == pytest.approx(2.0 * math.sinh(1.0), abs=1e-12)
 
-    def test_call_finds_the_cell_of_the_clipped_searchsorted(self):
-        # Against the reference lookup np.clip(np.searchsorted(edges, x, "right") - 1, 0, n):
-        # every x, inside the table or not, lands in the same cell, and F(b) is
-        # the table total.
+    @staticmethod
+    def steep_table_and_points():
+        """A table refined near both ends; its edges, their neighbouring floats,
+        two points outside it and 500 random points; and each point's cell by the
+        reference lookup ``np.clip(np.searchsorted(edges, x, "right") - 1, 0, n)``."""
         table = quadrature.CumulativeIntegral(lambda x: np.hypot(1.0, np.sinh(12.0 * x)), np.linspace(-1.0, 1.0, 9))
         edges = table.edges
-        assert len(edges) > 100  # refined near both ends
+        assert len(edges) > 100
         rng = np.random.default_rng(7)
         xs = np.concatenate((
             edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
             [-3.0, 3.0], rng.uniform(-1.2, 1.2, 500),
         ))
-        k = np.clip(np.searchsorted(edges, xs, side="right") - 1, 0, len(edges) - 1)
+        return table, xs, np.clip(np.searchsorted(edges, xs, side="right") - 1, 0, len(edges) - 1)
+
+    def test_call_finds_the_cell_of_the_clipped_searchsorted(self):
+        # Every x, inside the table or not, lands in the reference cell, and
+        # F(b) is the table total.
+        table, xs, k = self.steep_table_and_points()
         assert np.array_equal(table(xs), table.partial(k, xs)[0])
         for x, cell in zip(xs.tolist(), k.tolist()):
             assert table(x) == table.partial(cell, x)[0]
         assert table(1.0) == table.sums[-1]
+
+    def test_primitive_is_the_cell_sum_plus_a_pairwise_rule_sum(self):
+        # F(x) = sums[k] + width * (the half-weighted rule on [lo, x], summed by
+        # np.add.reduce), rebuilt from leggauss: bit for bit, on arrays and points.
+        table, xs, k = self.steep_table_and_points()
+        t, w = np.polynomial.legendre.leggauss(quadrature.GL_ORDER)
+        lo = table.edges[k]
+        width = xs - lo
+        vals = table.f(lo[:, None] + width[:, None] * (0.5 * (t + 1.0)))
+        want = table.sums[k] + width * np.add.reduce(0.5 * w * vals, axis=-1)
+        assert np.array_equal(table.partial(k, xs)[0], want)
+        assert np.array_equal(table(xs), want)
+        for x, cell, ref in zip(xs.tolist(), k.tolist(), want.tolist()):
+            assert table.partial(cell, x)[0] == ref and table(x) == ref
 
     def test_solved_curve_starts_from_knots(self):
         cv = solve_curve(0.5, InitialData(0.0, 1.0, 0.0), (-0.75, 0.75), step=0.01)

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dualcat import DirectionSpec, DomainError, DualScalar, DualVec2, ZeroRealPart, dual_dot, dual_norm
+from dualcat import (
+    DirectionSpec, DomainError, DualScalar, DualVec2, InvalidParams, ZeroRealPart, dual_dot, dual_norm,
+)
 from lifted import ARCSIN, COSH, EXP, SECH, SINH, SQRT, TANH, compose, lift, pow_alpha
 
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -199,6 +201,17 @@ class TestPower:
             DualScalar(-1.0, 1.0) ** 0.5
         with pytest.raises(DomainError):
             DualScalar(np.array([1.0, 0.0]), 1.0) ** -1
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_exponent(self, p):
+        with pytest.raises(InvalidParams, match="finite exponent"):
+            DualScalar(2.0, 1.0) ** p
+
+
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+def test_direction_rejects_a_non_finite_tilt(v):
+    with pytest.raises(InvalidParams, match="v must be finite"):
+        DirectionSpec(v)
 
 
 class TestRingProperties:

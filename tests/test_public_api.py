@@ -42,6 +42,62 @@ def test_benchmark_names_are_exported():
     assert callable(solver.recover_w)
 
 
+# NumPy functions that hand a sum of products to BLAS, whose kernel and thread
+# count can change its last bit; a ``linalg`` call may also reach LAPACK.
+BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
+
+
+def blas_uses(tree: ast.AST) -> list[int]:
+    """Lines of tree with an ``@``, a call of a BLAS_CALLS name, or a ``linalg`` name or import."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            hit = isinstance(node.op, ast.MatMult)
+        elif isinstance(node, ast.Call):
+            hit = getattr(node.func, "attr", getattr(node.func, "id", None)) in BLAS_CALLS
+        elif isinstance(node, (ast.Attribute, ast.Name)):
+            hit = getattr(node, "attr", getattr(node, "id", None)) == "linalg"
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
+            hit = bool(BLAS_CALLS.union(["linalg"]).intersection(".".join(names).split(".")))
+        else:
+            continue
+        if hit:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_blas_guard_sees_each_form():
+    source = """
+a @ b
+a @= b
+np.dot(a, b)
+a.dot(b)
+vdot(a, b)
+np.einsum("i,i", a, b)
+np.linalg.norm(a)
+from numpy.linalg import norm
+import numpy.linalg
+from numpy import linalg
+from numpy import inner
+a * b
+np.add.reduce(a * b, axis=-1)
+import numpy as np
+"""
+    assert blas_uses(ast.parse(source)) == list(range(2, 13))
+
+
+def test_sources_make_no_blas_call():
+    # Every rule sum, composite or tabulated, goes through quadrature.integrate,
+    # so no BLAS kernel or thread count decides a printed digit.
+    found = {
+        path.name: uses
+        for path in sorted((ROOT / "src" / "dualcat").glob("*.py"))
+        if (uses := blas_uses(ast.parse(path.read_text(), str(path))))
+    }
+    assert found == {}
+
+
 def test_removed_names_are_gone():
     present = [name for name in REMOVED if hasattr(dualcat, name)]
     assert present == []

@@ -609,6 +609,12 @@ class TestNodeSets:
             with pytest.raises(InvalidParams, match="panels"):
                 integrate()
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, np.int64(-2)])
+    def test_rejects_seeds_that_are_not_integers_of_at_least_zero(self, seed):
+        # NumPy would raise its own ValueError or TypeError, and take True for seed 1.
+        with pytest.raises(InvalidParams, match="seed"):
+            make_constrained_variation(closed_form(CatenaryParams(alpha=1.0)), seed)
+
     def test_overflowing_constraint_raises(self):
         # On an interval 2e-300 wide the bump slopes times the curve's
         # overflow, and the constraint integral with them.
@@ -667,6 +673,20 @@ class TestReport:
     def test_rejects_fewer_than_two_points(self, num):
         with pytest.raises(InvalidParams, match="num >= 2"):
             residual_report(closed_form(CatenaryParams(alpha=1.0)), 1.0, VERTICAL, num=num)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        # On this catenary y(0) = 1, so the first-integral constant read there
+        # is finite for any alpha: without the checks a NaN alpha reaches every sum.
+        cv = closed_form(CatenaryParams(alpha=1.0))
+        var = make_constrained_variation(cv, 0)
+        for evaluate in (
+            lambda: energy(cv, VERTICAL, alpha),
+            lambda: first_variation(cv, var, VERTICAL, alpha),
+            lambda: residual_report(cv, alpha, VERTICAL),
+        ):
+            with pytest.raises(InvalidParams, match="finite"):
+                evaluate()
 
     def test_never_reads_w_values(self):
         # Every residual reads w only through its derivatives, so building
