@@ -3,9 +3,9 @@
 Each constructor returns an admissible :class:`~dualcat.curves.GraphCurve`
 whose real part solves ``y'' / (1 + y'**2) = alpha / y`` and whose eps part
 solves the linearized equation for the tilted vertical direction
-``(0, 1) + eps*(v, 0)``.  Each family codes y, z and the values of w
-analytically; ``curves.admissible_w`` gives w' and w'', so the curves are
-exactly admissible and the other residual checks see only rounding noise.
+``(0, 1) + eps*(v, 0)``.  Each family codes y; ``_dual_part`` writes z and w's
+values for alpha != 0, and ``curves.admissible_w`` gives w' and w'', so the curves
+are exactly admissible and the other residual checks see only rounding noise.
 """
 
 from __future__ import annotations
@@ -28,6 +28,34 @@ def _check_square(name: str, val: float) -> None:
     """Reject a parameter whose square, used by the formulas, overflows."""
     if not np.isfinite(val * val):
         raise InvalidParams(f"{name} = {val:g} is too large: {name}**2 overflows")
+
+
+def _dual_part(alpha: float, basis, v: float, k1: float, k2: float, k3: float, centre: float = 0.0):
+    """z (with z' and z'') and w's values for an exponent-alpha catenary, alpha != 0.
+
+    ``basis(x)`` gives y and the family's ``(sigma = y'/nu, nu, s)``, s an arc
+    length.  With ``q = k1 + k2*s``, ``z = -v*x + q*sigma - k2*y`` and
+    ``w = v*y + q/nu - k2*(x - centre) + k3``, using ``sigma' = alpha/(y*nu)``
+    and ``sigma'' = -alpha*(1 + alpha)*sigma/y**2``.
+    """
+
+    def z_val(x):
+        yv, sigma, _, s = basis(x)
+        return -v * np.asarray(x, float) + (k1 + k2 * s) * sigma - k2 * yv
+
+    def z_d1(x):
+        yv, _, nu, s = basis(x)
+        return -v + alpha * (k1 + k2 * s) / (yv * nu)
+
+    def z_d2(x):
+        yv, sigma, _, s = basis(x)
+        return alpha * (k2 - (1.0 + alpha) * (k1 + k2 * s) * sigma / yv) / yv
+
+    def w_val(x):
+        yv, _, nu, s = basis(x)
+        return v * yv + (k1 + k2 * s) / nu - k2 * (np.asarray(x, float) - centre) + k3
+
+    return Coordinate(z_val, z_d1, z_d2), w_val
 
 
 @dataclass(frozen=True)
@@ -54,8 +82,8 @@ class CatenaryParams:
 def catenary_alpha1(p: CatenaryParams, domain: tuple[float, float] | None = None) -> GraphCurve:
     """Curve ``y = cosh(c*x + m)/c`` with the matching eps part, on DEFAULT_DOMAIN if none is given.
 
-    The eps component is ``z = -v*x + d1*sech + d2*tanh`` with w integrated
-    from the admissibility constraint in closed form.
+    The basis is ``(tanh, cosh, sinh/c)`` of ``theta = c*x + m``; in z, --d2
+    multiplies ``sigma = tanh`` and --d1 multiplies ``sech = -c*(sigma*s - y)``.
     """
     if not (p.c > 0.0 and np.isfinite(p.c)):
         raise InvalidParams(f"c must be positive, got {p.c}")
@@ -71,28 +99,13 @@ def catenary_alpha1(p: CatenaryParams, domain: tuple[float, float] | None = None
         lambda x: c * np.cosh(theta(x)),
     )
 
-    def z_val(x):
+    def basis(x):
         t = theta(x)
-        return -v * np.asarray(x, float) + d1 / np.cosh(t) + d2 * np.tanh(t)
-
-    def z_d1(x):
-        t = theta(x)
-        sech = 1.0 / np.cosh(t)
-        return -v + c * sech * (d2 * sech - d1 * np.tanh(t))
-
-    def z_d2(x):
-        t = theta(x)
-        sech = 1.0 / np.cosh(t)
-        th = np.tanh(t)
-        return -(c * c) * sech * (d1 * (sech * sech - th * th) + 2.0 * d2 * sech * th)
-
-    def w_val(x):
-        x = np.asarray(x, float)
-        t = theta(x)
-        return (v / c) * np.cosh(t) + c * d1 * x - d1 * np.tanh(t) + d2 / np.cosh(t) + d3
+        nu = np.cosh(t)
+        return nu / c, np.tanh(t), nu, np.sinh(t) / c
 
     domain = DEFAULT_DOMAIN if domain is None else domain
-    z = Coordinate(z_val, z_d1, z_d2)
+    z, w_val = _dual_part(1.0, basis, v, d2, -c * d1, d3)
     curve = GraphCurve(domain, y, admissible_w(y, z, w_val), z, ClosedForm(1.0, c))
     # cosh peaks at an end of the (validated) domain; y and y'' scale it by
     # 1/c and c.  Rejected here, before any formula overflows.
@@ -126,7 +139,10 @@ def catenary_alpha_minus1(p: CatenaryParams, domain: tuple[float, float] | None 
 
     The maximal parameter interval is open at ``m - R`` and ``m + R`` where the
     slope blows up; the default domain clips a fraction RIM_CLIP of R off each
-    end.  A requested domain must stay strictly inside the open interval.
+    end.  A requested domain must stay strictly inside the open interval.  The
+    basis is ``(-t/R, R/y, R*asin(t/R))`` of ``t = x - m``; in z, --d1 multiplies
+    ``t = -R*sigma`` and --d2 multiplies ``-(sigma*s - y)``.  w's d2 term is
+    ``d2*(x - m)``, taken from the centre so that a far m cannot overflow it.
     """
     if not (p.R > 0.0 and np.isfinite(p.R)):
         raise InvalidParams(f"R must be positive, got {p.R}")
@@ -138,41 +154,25 @@ def catenary_alpha_minus1(p: CatenaryParams, domain: tuple[float, float] | None 
     if not (m - R < domain[0] and domain[1] < m + R):
         raise DomainError(f"domain {domain} must lie strictly inside ({m - R}, {m + R})")
 
-    def t_of(x):
-        return np.asarray(x, float) - m
-
     def y_val(x):
-        t = t_of(x)
+        t = np.asarray(x, float) - m
         return np.sqrt(R * R - t * t)
 
     def y_d1(x):
-        t = t_of(x)
+        t = np.asarray(x, float) - m
         return -t / np.sqrt(R * R - t * t)
 
     def y_d2(x):
-        t = t_of(x)
+        t = np.asarray(x, float) - m
         return -(R * R) / np.sqrt(R * R - t * t) ** 3
 
-    def z_val(x):
-        t = t_of(x)
+    def basis(x):
+        t = np.asarray(x, float) - m
         yv = np.sqrt(R * R - t * t)
-        return -v * np.asarray(x, float) + d1 * t + d2 * (yv + t * np.arcsin(t / R))
-
-    def z_d1(x):
-        t = t_of(x)
-        return -v + d1 + d2 * np.arcsin(t / R)
-
-    def z_d2(x):
-        t = t_of(x)
-        return d2 / np.sqrt(R * R - t * t)
-
-    def w_val(x):
-        t = t_of(x)
-        yv = np.sqrt(R * R - t * t)
-        return (v - d1) * yv + d2 * t - d2 * yv * np.arcsin(t / R) + d3
+        return yv, t / -R, R / yv, R * np.arcsin(t / R)
 
     y = Coordinate(y_val, y_d1, y_d2)
-    z = Coordinate(z_val, z_d1, z_d2)
+    z, w_val = _dual_part(-1.0, basis, v, -R * d1, -d2, d3, m)
     return GraphCurve(domain, y, admissible_w(y, z, w_val), z, ClosedForm(-1.0, R))
 
 

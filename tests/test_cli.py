@@ -111,6 +111,23 @@ class TestGenerate:
         spaced = run_cli(capsys, "generate", "--alpha", "1", "--v", "-1e-05", "--d1", "-.5", "--samples", "3")
         assert joined[0] == 0 and spaced == joined
 
+    def test_arc_w_far_from_the_origin_stays_finite(self, capsys):
+        # w's d2 term is d2*(x - m): written as d2*x - d2*m, both products
+        # overflow and every row of w reads nan.
+        code, out, err = run_cli(
+            capsys, "generate", "--alpha", "-1", "--R", "1e150", "--m", "1e160", "--d2", "1e150",
+            "--format", "csv", "--samples", "3",
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "x,y,w,z,yp,zp,kappa_re,kappa_du,char_res_re,char_res_du,admis_res",
+            "9.9999999990009999e+159,4.4707522556132341e+148,-9.3077313563567721e+299,1.5692555275454236e+300,"
+            "22.345235470786402,-1.5260738975400034e+150,-0,1,1.0000000000000001e-150,-4.6629367034256575e-15,0",
+            "1e+160,9.9999999999999998e+149,0,9.999999999999999e+299,-0,0,-0,1,1e-150,0,0",
+            "1.0000000000999e+160,4.4707522556132341e+148,9.3077313563567721e+299,1.5692555275454236e+300,"
+            "-22.345235470786402,1.5260738975400034e+150,-0,1,1.0000000000000001e-150,-4.6629367034256575e-15,0",
+        ]
+
     def test_solver_truncation_exits_3(self, capsys):
         code, _, err = run_cli(
             capsys, "generate", "--alpha", "3", "--solve", "--domain", "-1:1"
@@ -350,8 +367,8 @@ class TestVariation:
                 0,
                 [
                     "seed 0: dE = 1.7347234759768071e-18 + -1.0408340855860843e-17 eps",
-                    "seed 1: dE = 2.927345865710862e-18 + -8.8904578143811364e-18 eps",
-                    "seed 2: dE = 3.1035287187397564e-18 + 5.2312754822425589e-18 eps",
+                    "seed 1: dE = 2.927345865710862e-18 + -8.6736173798840355e-18 eps",
+                    "seed 2: dE = 3.1035287187397564e-18 + 1.3010426069826053e-18 eps",
                     "max_abs_re             3.1035287187397564e-18",
                     "max_abs_du             1.0408340855860843e-17",
                     "tolerance              1.0000000000000001e-05",
@@ -377,7 +394,7 @@ class TestVariation:
                 [
                     "seed 0: dE = -1.6566609195578508e-16 + -8.5518397918704636e-14 eps",
                     "seed 1: dE = 3.4205440129636555e-14 + -6.4771538826891017e-14 eps",
-                    "seed 2: dE = 3.8945040091052305e-14 + 1.6045975312350969e-14 eps",
+                    "seed 2: dE = 3.8945040091052305e-14 + 1.6046192152785466e-14 eps",
                     "max_abs_re             3.8945040091052305e-14",
                     "max_abs_du             8.5518397918704636e-14",
                     "tolerance              1.0000000000000001e-05",

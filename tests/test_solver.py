@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicHermiteSpline
 
 from dualcat import quadrature, solver
+from dualcat.closed_forms import _dual_part
 from dualcat.spline import HermiteSpline
 
 from dualcat import (
@@ -337,6 +338,33 @@ class TestDualSolveAndRecovery:
         zb, zpb, _ = nodes(cv_b.z, grid)
         wronskian = (za * zpb - zpa * zb) * cv_a.y.value(grid) ** alpha
         assert np.max(np.abs(wronskian - 1.0)) <= 1e-9
+
+    @pytest.mark.parametrize("alpha, hw", [(2.0, 0.8), (0.5, 0.75), (-0.7, 0.75), (3.0, 0.4)])
+    def test_closed_form_builder_matches_the_march(self, alpha, hw):
+        # The closed forms' dual part, z = -v*x + q*sigma - k2*y and
+        # w = v*y + q/nu - k2*(x - x0) + k3 with q = k1 + k2*s, holds at every
+        # exponent: fed the solve's y, sigma = y'/nu and the arc length s from
+        # x0, with k1..k3 fitted to the initial data, it gives the marched z
+        # and the tabled w.
+        v = 0.25
+        init = InitialData(0.1, 1.0, 0.2, z0=0.3, zp0=-0.2, w0=0.15)
+        curve = solve_curve(alpha, init, (-hw, hw), v)
+        assert not curve.source.truncated
+
+        def basis(x):
+            yp = curve.y.deriv(x)
+            nu = np.hypot(1.0, yp)
+            s = np.array([curve.arc_length(init.x0, float(t)) for t in x])
+            return curve.y.value(x), yp / nu, nu, s
+
+        nu0 = math.hypot(1.0, init.yp0)
+        k1 = (init.zp0 + v) * init.y0 * nu0 / alpha
+        k2 = (k1 * init.yp0 / nu0 - v * init.x0 - init.z0) / init.y0
+        k3 = init.w0 - v * init.y0 - k1 / nu0
+        z, w_val = _dual_part(alpha, basis, v, k1, k2, k3, init.x0)
+        xs = np.linspace(*curve.domain, 201)
+        assert np.max(np.abs(z.value(xs) - curve.z.value(xs))) <= 1e-10
+        assert np.max(np.abs(w_val(xs) - curve.w.value(xs))) <= 1e-10
 
 
 def cycloid_y(x, r):

@@ -3,19 +3,21 @@
 Each closed-form coordinate is written here a second time in sympy, which
 differentiates it; the coded ``d1``/``d2`` must agree at seeded points.  For
 generic graphs, sympy proves the characterization theorem that the residual
-report relies on, and that the solver's right-hand side satisfies it.
+report relies on, that the solver's right-hand side satisfies it, and that
+the closed forms' dual-part builder solves the dual equation admissibly.
 """
 
 import ast
 import inspect
 import textwrap
+import types
 
 import mpmath
 import numpy as np
 import pytest
 import sympy as sp
 
-from dualcat import CatenaryParams, closed_form, reversed_catenary, solver
+from dualcat import CatenaryParams, closed_form, closed_forms, reversed_catenary, solver
 
 X = sp.Symbol("x", real=True)
 RTOL = 1e-12
@@ -137,3 +139,27 @@ def test_solver_rates_zero_the_characterization():
     on_solutions = {Y.diff(X, 2): ypp, Z.diff(X, 2): zpp}
     assert sp.simplify(char_re.subs(on_solutions)) == 0
     assert sp.simplify(char_du.subs(on_solutions)) == 0
+
+
+def test_dual_part_builder_solves_the_dual_equation(monkeypatch):
+    # The builder runs on sympy objects: y is a generic stationary graph
+    # (y'' = alpha*(1 + y'**2)/y), s a generic arc length (s' = nu), and
+    # np.asarray, the builder's one NumPy call, passes x through.
+    monkeypatch.setattr(closed_forms, "np", types.SimpleNamespace(asarray=lambda x, dtype: x))
+    S = sp.Function("s")(X)
+    k1, k2, k3, centre = sp.symbols("k1 k2 k3 centre", real=True)
+    yp = Y.diff(X)
+    nu = sp.sqrt(1 + yp**2)
+    z, w_val = closed_forms._dual_part(ALPHA, lambda x: (Y, yp / nu, nu, S), V, k1, k2, k3, centre)
+    ypp = ALPHA * (1 + yp**2) / Y
+    yppp = ypp.diff(X).subs(Y.diff(X, 2), ypp)
+
+    def on_solutions(expr):
+        return expr.subs(Y.diff(X, 3), yppp).subs(Y.diff(X, 2), ypp).subs(S.diff(X), nu)
+
+    zv, zp, zpp = z.value(X), z.deriv(X), z.deriv2(X)
+    assert sp.simplify(on_solutions(zv.diff(X)) - zp) == 0
+    assert sp.simplify(on_solutions(zp.diff(X)) - zpp) == 0
+    el_dual = zpp + ALPHA * (yp / Y) * (zp + V) + ALPHA * (zv + V * X) / Y**2
+    assert sp.simplify(el_dual) == 0
+    assert sp.simplify(on_solutions(w_val(X).diff(X)) + yp * zp) == 0

@@ -119,6 +119,41 @@ class TestEnergy:
         with pytest.raises(DomainError):
             energy(cv, VERTICAL, 0.0)
 
+    # On an alpha-catenary the energy is a boundary term.  With
+    # sigma = y'/nu, the arc length s and the dual part's q = k1 + k2*s:
+    # e0 = ([y**(alpha+1)*sigma]_a^b + (b - a)/c)/(1 + alpha), or
+    # [atanh((x - m)/R)]_a^b on the arc, and
+    # e1 = [q*y**alpha]_a^b - (1 + alpha)*k2*e0.
+
+    def test_catenary_energy_is_a_boundary_term(self):
+        p = CatenaryParams(alpha=1.0, c=1.3, m=0.2, v=0.4, d1=0.2, d2=-0.3, d3=0.5)
+        cv = catenary_alpha1(p)
+        ev = energy(cv, DirectionSpec(p.v), 1.0)
+        a, b = cv.domain
+        k2 = -p.c * p.d1
+
+        def ends(f):
+            return f(p.c * b + p.m) - f(p.c * a + p.m)
+
+        e0 = (ends(lambda t: (math.cosh(t) / p.c) ** 2 * math.tanh(t)) + (b - a) / p.c) / 2.0
+        e1 = ends(lambda t: (p.d2 + k2 * math.sinh(t) / p.c) * math.cosh(t) / p.c) - 2.0 * k2 * e0
+        assert abs(ev.e0 - e0) <= 1e-14
+        assert abs(ev.e1 - e1) <= 1e-14
+
+    def test_arc_energy_is_a_boundary_term(self):
+        p = CatenaryParams(alpha=-1.0, v=0.3, d1=0.2, d2=0.5)
+        cv = catenary_alpha_minus1(p)
+        ev = energy(cv, DirectionSpec(p.v), -1.0, panels=16384)
+        a, b = cv.domain
+
+        def ends(f):
+            return f((b - p.m) / p.R) - f((a - p.m) / p.R)
+
+        e0 = ends(math.atanh)
+        e1 = ends(lambda t: (-p.R * p.d1 - p.d2 * p.R * math.asin(t)) / (p.R * math.sqrt(1.0 - t * t)))
+        assert abs(ev.e0 - e0) <= 1e-12
+        assert abs(ev.e1 - e1) <= 1e-12
+
 
 class TestResiduals:
     def test_el_real_on_catenary(self):
