@@ -265,12 +265,11 @@ def _null_nonfinite(obj):
 def cmd_generate(args) -> int:
     curve = _build_curve(args, args.alpha)
     report = residual_report(curve, args.alpha, DirectionSpec(args.v), num=args.samples)
-    xs, res = report.grid, report.residuals
-    kappa = curve.curvature(xs)
-    # One row per grid point, in CSV_COLUMNS order.
+    xs, res, fr, n = report.grid, report.residuals, report.frame, args.samples
+    # One row per grid point, in CSV_COLUMNS order; the report's frame starts on the grid.
     rows = np.column_stack((
-        xs, curve.y.value(xs), curve.w.value(xs), curve.z.value(xs), curve.y.deriv(xs), curve.z.deriv(xs),
-        kappa.re, kappa.du, res["characterization_re"], res["characterization_du"], res["admissibility"],
+        xs, curve.y.value(xs), curve.w.value(xs), curve.z.value(xs), fr.yp[:n], fr.zp[:n],
+        fr.kappa.re[:n], fr.kappa.du[:n], res["characterization_re"], res["characterization_du"], res["admissibility"],
     )).tolist()
 
     if args.format == "csv":

@@ -145,12 +145,14 @@ class Numeric:
 
 @dataclass(frozen=True)
 class Frame:
-    """Unit tangent and normal (dual-plane vectors) and curvature at a point or a grid."""
+    """Unit tangent and normal (dual-plane vectors), curvature and the slopes y', z' at a point or a grid."""
 
     T: DualVec2
     N: DualVec2
     nu: float  # Euclidean speed sqrt(1 + y'(x)**2)
     kappa: DualScalar
+    yp: float
+    zp: float
 
     def characterization(self, alpha: float, u: DirectionSpec, height: DualScalar) -> DualScalar:
         """Residual of the curvature identity ``kappa = alpha*<N,u>/<gamma,u>``,
@@ -249,7 +251,7 @@ class GraphCurve:
         N = DualVec2(n_re, (-zp * t_re[0], -zp * t_re[1]))
         # np.power, not the float operator: points and grids round alike.
         kappa = DualScalar(_dedim(self.y.deriv2(x)) / _dedim(np.power(nu, 3)), _dedim(self.z.deriv2(x)) / nu)
-        return Frame(T, N, nu, kappa)
+        return Frame(T, N, nu, kappa, yp, zp)
 
     def curvature(self, x) -> DualScalar:
         """Signed curvature ``y''/nu**3 + eps*z''/nu`` for an admissible curve."""

@@ -19,7 +19,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import quadrature
-from .curves import ClosedForm, Coordinate, GraphCurve, Numeric, recover_w, table_edges
+from .curves import ClosedForm, Coordinate, Frame, GraphCurve, Numeric, recover_w, table_edges
 from .dual import DirectionSpec, DualScalar, DualVec2, dual_dot, dual_norm
 from .errors import DegenerateVariation, InvalidParams, NumericalFailure, check_integer
 
@@ -68,12 +68,10 @@ def energy(
     return EnergyValue(DualScalar(e0, quadrature.integrate(wts, integrand.du)), e0, e1)
 
 
-def first_integral_residual(curve: GraphCurve, alpha: float, c: float, x):
-    """Residual ``1 + y'**2 - c**2 * y**(2*alpha)`` of the conserved quantity."""
+def first_integral_residual(y, yp, alpha: float, c: float):
+    """Residual ``1 + y'**2 - c**2 * y**(2*alpha)`` of the conserved quantity, from values of y and y'."""
     if not (c > 0.0 and np.isfinite(c)):
         raise InvalidParams(f"c must be positive, got {c}")
-    y = np.asarray(curve.height(DirectionSpec(), x).re)
-    yp = curve.y.deriv(x)
     return 1.0 + yp * yp - c * c * y ** (2.0 * alpha)
 
 
@@ -132,6 +130,11 @@ class BumpSum:
         for b in self.bumps:
             if not (math.isfinite(b.center) and 0.0 < b.radius < math.inf):
                 raise InvalidParams(f"a bump needs a finite centre and a positive finite radius, got {b}")
+            # _evaluate squares each radius with Python's power, which raises where the square overflows.
+            try:
+                b.radius**2
+            except OverflowError:
+                raise InvalidParams(f"a bump radius must have a finite square, got {b}") from None
         if not all(map(math.isfinite, self.coeffs)):
             raise InvalidParams(f"bump coefficients must be finite, got {self.coeffs}")
 
@@ -321,13 +324,14 @@ def first_variation(
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """The pointwise residuals on a sample grid, the first-integral constant
-    they used, and each residual's largest magnitude."""
+    """The pointwise residuals on a sample grid, the first-integral constant they used,
+    each residual's largest magnitude, and the frame on every point the maxima read, grid first."""
 
     grid: np.ndarray
     residuals: dict
     c_used: float
     max_abs: dict
+    frame: Frame
 
 
 def resolve_c(curve: GraphCurve, alpha: float, x0: float) -> float:
@@ -368,7 +372,7 @@ def residual_report(curve: GraphCurve, alpha: float, u: DirectionSpec, num: int 
         "admissibility": curve.admissibility_residual(x),
         "el_real": fr.nu * char.re,
         "el_dual": fr.nu * char.du,
-        "first_integral": first_integral_residual(curve, alpha, c_used, x),
+        "first_integral": first_integral_residual(height.re, fr.yp, alpha, c_used),
         "characterization_re": char.re,
         "characterization_du": char.du,
     }
@@ -377,4 +381,5 @@ def residual_report(curve: GraphCurve, alpha: float, u: DirectionSpec, num: int 
         {name: r[:num] for name, r in residuals.items()},
         c_used,
         {name: float(np.max(np.abs(r))) for name, r in residuals.items()},
+        fr,
     )

@@ -264,6 +264,26 @@ def test_w_table_built_only_to_print_w(capsys, monkeypatch, command, tables):
     assert len(built) == tables
 
 
+@pytest.mark.parametrize("command", ["generate", "verify"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--alpha", "-1", "--v", "0.3", "--d1", "0.2"),
+        ("--alpha", "0.5", "--solve", "--domain", "-0.75:0.75", "--z0", "0.2", "--zp0", "0.1", "--v", "0.3"),
+    ],
+    ids=["closed", "solve"],
+)
+def test_one_frame_per_command(capsys, monkeypatch, command, argv):
+    # residual_report samples the curve once, and generate prints the slopes
+    # and curvature of that frame.
+    frames = []
+    build = dualcat.GraphCurve.frame
+    monkeypatch.setattr(dualcat.GraphCurve, "frame", lambda self, x: frames.append(x) or build(self, x))
+    code, _, err = run_cli(capsys, command, *argv)
+    assert (code, err) == (0, "")
+    assert len(frames) == 1
+
+
 class TestVerify:
     def test_readme_example(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--alpha", "1", "--c", "2", "--v", "1.1", "--d1", "-0.6")
@@ -516,6 +536,18 @@ class TestVariation:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: seed 0: constraint integral") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--domain=0:1.7e308",), ("--domain=-1.7e308:1", "--perturb", "0.1", "--panels", "4")],
+        ids=["seeded", "perturbed"],
+    )
+    def test_bump_whose_square_overflows_is_an_error(self, capsys, argv):
+        # On a domain this wide a bump's radius squares past the float range:
+        # the seeded bumps' in one case, the perturbing bump's in the other.
+        code, out, err = run_cli(capsys, "variation", "--alpha", "0", "--c", "2", "--m", "3", *argv, "--count", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: a bump radius must have a finite square") and err.count("\n") == 1
 
     def test_nan_first_variation_fails_the_gate(self, capsys, monkeypatch):
         # A NaN dE on the first seed stays the maximum after finite ones.

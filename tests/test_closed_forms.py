@@ -193,7 +193,7 @@ class TestDispatchAndResiduals:
         c = params.R if params.alpha == -1.0 else params.c
         xs = rep.grid
         assert np.max(np.abs(multiplier_residual(cv, params.alpha, c, xs))) < 1e-12
-        assert np.max(np.abs(first_integral_residual(cv, params.alpha, c, xs))) < 1e-12
+        assert np.max(np.abs(first_integral_residual(cv.y.value(xs), cv.y.deriv(xs), params.alpha, c))) < 1e-12
 
 
 class TestReversed:

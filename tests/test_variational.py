@@ -154,6 +154,33 @@ class TestEnergy:
         assert abs(ev.e0 - e0) <= 1e-12
         assert abs(ev.e1 - e1) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "alpha, init, domain",
+        [
+            (0.5, InitialData(0.0, z0=0.2, zp0=0.1), (-0.75, 0.75)),
+            (2.0, InitialData(0.0, yp0=0.1, z0=0.2, zp0=0.1), (-0.3, 0.3)),
+            (-0.7, InitialData(0.0, yp0=-0.2, z0=0.3, zp0=-0.2, w0=0.4), (-0.5, 0.5)),
+            (3.0, InitialData(0.0, z0=1.0, zp0=0.5), (-0.4, 0.4)),
+        ],
+        ids=["readme", "alpha2", "alpha-0.7", "alpha3"],
+    )
+    def test_solved_energy_is_a_boundary_term(self, alpha, init, domain):
+        # Each domain stops short of steep ends: on [-1, 1] the alpha -0.7
+        # solve ends at slope -4.06 and misses e0 by 1.7e-7 (1.4e-9 at 1,024
+        # panels), an error of the solve and not of the rule.
+        cv = solve_curve(alpha, init, domain, v=0.3)
+        assert cv.domain == domain
+        c = infer_c(cv, alpha, init.x0)
+        ev = energy(cv, DirectionSpec(0.3), alpha)
+        a, b = domain
+
+        def term(x):
+            yp = cv.y.deriv(x)
+            return cv.y.value(x) ** (alpha + 1.0) * yp / math.hypot(1.0, yp)
+
+        e0 = (term(b) - term(a) + (b - a) / c) / (1.0 + alpha)
+        assert abs(ev.e0 - e0) <= 1e-11
+
 
 class TestResiduals:
     def test_el_real_on_catenary(self):
@@ -185,13 +212,13 @@ class TestResiduals:
     def test_first_integral_and_infer_c(self):
         cv = cosh_graph()
         xs = np.linspace(-1.0, 1.0, 101)
-        assert np.max(np.abs(first_integral_residual(cv, 1.0, 1.0, xs))) < 1e-14
+        assert np.max(np.abs(first_integral_residual(cv.y.value(xs), cv.y.deriv(xs), 1.0, 1.0))) < 1e-14
         doubled = catenary_alpha1(CatenaryParams(alpha=1.0, c=2.0))
         assert infer_c(doubled, 1.0, 0.0) == pytest.approx(2.0, rel=1e-15)
         # the wrong constant leaves the first integral far from zero
-        assert np.max(np.abs(first_integral_residual(doubled, 1.0, 1.0, xs))) > 0.1
+        assert np.max(np.abs(first_integral_residual(doubled.y.value(xs), doubled.y.deriv(xs), 1.0, 1.0))) > 0.1
         with pytest.raises(InvalidParams):
-            first_integral_residual(cv, 1.0, 0.0, 0.0)
+            first_integral_residual(1.0, 0.0, 1.0, 0.0)
 
     @pytest.mark.parametrize("height", [1e-200, 1e200])  # y**-2 overflows, then underflows
     def test_infer_c_rejects_a_constant_out_of_range(self, height):
@@ -567,6 +594,7 @@ class TestBumpSum:
             ((Bump(0.0, -0.5),), (1.0,)),
             ((Bump(0.0, math.inf),), (1.0,)),
             ((Bump(0.0, math.nan),), (1.0,)),
+            ((Bump(0.0, 1e155),), (1.0,)),  # its square overflows
             ((Bump(0.0, 0.5),), (math.nan,)),
             ((Bump(0.0, 0.5),), (-math.inf,)),
         ],
