@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -55,17 +55,10 @@ def partitioned_nodes(a: float, b: float, breakpoints, panels: int = PANELS) -> 
     Piecewise-smooth integrands (bump test functions, say) lose orders of
     accuracy when a panel straddles a smoothness edge; splitting the interval
     at the breakpoints restores full Gauss accuracy on every piece.  Each
-    piece gets panels proportional to its width, at least one.  The last rule
-    built is kept: a variation's constraint and its first variation ask for
-    the same one.  The arrays are therefore shared, and read-only.  panels
-    must be an integer of at least 1, and not a bool.
+    piece gets panels proportional to its width, at least one.  panels must
+    be an integer of at least 1, and not a bool.
     """
     check_integer("panels", panels, 1)
-    return _partition(a, b, tuple(breakpoints), panels)
-
-
-@lru_cache(maxsize=1)
-def _partition(a: float, b: float, breakpoints: tuple, panels: int) -> tuple[np.ndarray, np.ndarray]:
     span = b - a
     tol = 1e-12 * span
     # Breakpoints closer than tol to an end or to the previous breakpoint are
@@ -89,10 +82,7 @@ def _partition(a: float, b: float, breakpoints: tuple, panels: int) -> tuple[np.
     right = (k + 1) * step + start
     right[ends - 1] = hi
     nodes, half, w = _panel_nodes(left, right)
-    x, wts = nodes.ravel(), (half[:, None] * w).ravel()
-    x.setflags(write=False)
-    wts.setflags(write=False)
-    return x, wts
+    return nodes.ravel(), (half[:, None] * w).ravel()
 
 
 def _panel_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

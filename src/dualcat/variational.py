@@ -13,7 +13,7 @@ first order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -191,11 +191,15 @@ class VariationField:
     ``constraint`` records the quadrature value of
     ``integral(y'*delta_z' + z'*delta_y')``, which admissible variations keep
     at zero so the rebuilt w component returns to its endpoint value.
+    ``sampling``, left out of ``==`` and ``repr``, is what make_constrained_variation
+    evaluated when the fixer joined delta_z: the panels, then the curve and deltas it
+    was taken for, then the nodes, weights, y', z', the deltas' values and slopes.
     """
 
     delta_y: BumpSum
     delta_z: BumpSum
     constraint: float
+    sampling: tuple = field(default=(), compare=False, repr=False)
 
 
 def _uniform(u: float, low: float, high: float) -> float:
@@ -242,7 +246,7 @@ def make_constrained_variation(
     x, wts = quadrature.partitioned_nodes(a, b, breaks, panels)
     yp = np.asarray(curve.y.deriv(x), float)
     zp = np.asarray(curve.z.deriv(x), float)
-    dyp, dzp, fp = BumpSum._evaluate(x, (dy, dz, fixer), "deriv")[0]
+    (dyv, dzv, fv), (dyp, dzp, fp) = BumpSum._evaluate(x, (dy, dz, fixer), "value", "deriv")
 
     k_raw = quadrature.integrate(wts, yp * dzp + zp * dyp)
     denom = quadrature.integrate(wts, yp * fp)
@@ -254,15 +258,16 @@ def make_constrained_variation(
             raise DegenerateVariation(
                 f"the fixer integral {denom:.3e} vanishes on this curve, so it cannot absorb the constraint {k_raw:.3e}"
             )
-        corrected = dz
+        corrected, sampling = dz, ()
     else:
         coeff = -k_raw / denom
         corrected = BumpSum(dz.bumps + fixer.bumps, dz.coeffs + (coeff,))
-        # corrected.deriv(x) bit for bit: BumpSum sums in order, fixer last.
-        dzp = dzp + coeff * fp
+        # corrected's values and slopes bit for bit: BumpSum sums in order, fixer last.
+        dzv, dzp = dzv + coeff * fv, dzp + coeff * fp
+        sampling = (panels, (curve, dy, corrected), (x, wts, yp, zp, dyv, dzv, dyp, dzp))
 
     k_final = quadrature.integrate(wts, yp * dzp + zp * dyp)
-    return VariationField(dy, corrected, k_final)
+    return VariationField(dy, corrected, k_final, sampling)
 
 
 def perturbed_curve(curve: GraphCurve, delta_y: BumpSum, delta_z: BumpSum, scale: float) -> GraphCurve:
@@ -306,14 +311,19 @@ def first_variation(
     The chain rule in the dual algebra gives the integrand
     ``alpha*H**(alpha-1)*dH*|gamma'| + H**alpha*<gamma', dgamma'>/|gamma'|``.
     Both dual components vanish, to quadrature accuracy, at stationary
-    curves.  The panels split at the curve's breakpoints and the bump edges.
+    curves.  The panels split at the curve's breakpoints and the bump edges; var's
+    sampling is read instead when it was taken on this curve and panels for these deltas.
     """
-    a, b = curve.domain
+    check_integer("panels", panels, 1)
     dy, dz = var.delta_y, var.delta_z
-    x, wts = quadrature.partitioned_nodes(a, b, curve.breakpoints + dy.edges() + dz.edges(), panels)
+    n, owners, samples = var.sampling or (None, (), None)
+    if n != panels or any(p is not q for p, q in zip(owners, (curve, dy, dz))):
+        a, b = curve.domain
+        x, wts = quadrature.partitioned_nodes(a, b, curve.breakpoints + dy.edges() + dz.edges(), panels)
+        (dyv, dzv), (dyp, dzp) = BumpSum._evaluate(x, (dy, dz), "value", "deriv")
+        samples = (x, wts, curve.y.deriv(x), curve.z.deriv(x), dyv, dzv, dyp, dzp)
+    x, wts, yp, zp, dyv, dzv, dyp, dzp = samples
     height = curve.height(u, x)
-    yp, zp = curve.y.deriv(x), curve.z.deriv(x)
-    (dyv, dzv), (dyp, dzp) = BumpSum._evaluate(x, (dy, dz), "value", "deriv")
     vel = DualVec2((1.0, yp), (-yp * zp, zp))
     dvel = DualVec2((0.0, dyp), (-(yp * dzp + zp * dyp), dzp))
     speed = dual_norm(vel)

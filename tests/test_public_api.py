@@ -3,6 +3,8 @@
 import ast
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import dualcat
@@ -20,15 +22,27 @@ REMOVED = [
 ]
 
 
-def test_readme_library_example_runs(capsys):
+def readme_library_block() -> str:
     readme = (ROOT / "README.md").read_text()
     library = readme[readme.index("## Library"):]
-    block = re.search(r"```python\n(.*?)```", library, re.S).group(1)
-    exec(compile(block, "README.md", "exec"), {})
+    return re.search(r"```python\n(.*?)```", library, re.S).group(1)
+
+
+def test_readme_library_example_runs(capsys):
+    exec(compile(readme_library_block(), "README.md", "exec"), {})
     maxima = [ast.literal_eval(line) for line in capsys.readouterr().out.splitlines() if line.startswith("{")]
     assert len(maxima) == 2
     for report in maxima:
         assert report and all(math.isfinite(v) for v in report.values())
+
+
+def test_readme_library_example_is_stationary_in_its_own_process():
+    # Its last line is the first variation of a drawn variation on a catenary,
+    # as a fresh interpreter prints it: both parts vanish to rounding.
+    done = subprocess.run([sys.executable, "-c", readme_library_block()], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    re_part, du_part = re.fullmatch(r"(\S+) \+ (\S+) eps", done.stdout.splitlines()[-1]).groups()
+    assert abs(float(re_part)) <= 1e-15 and abs(float(du_part)) <= 1e-15
 
 
 def test_benchmark_names_are_exported():

@@ -1,5 +1,6 @@
 """Energy, Euler-Lagrange residuals, constrained variations."""
 
+import dataclasses
 import gc
 import math
 import time
@@ -39,6 +40,7 @@ from dualcat import quadrature, variational
 from dualcat.curves import table_edges
 from dualcat.quadrature import partitioned_nodes
 from references import el_residual_dual, el_residual_real, multiplier_residual
+from test_curves import BUILDERS
 
 VERTICAL = DirectionSpec(0.0)
 EMPTY = BumpSum((), ())
@@ -633,16 +635,20 @@ def test_seeded_bumps_match_uniform_calls(chunk):
             assert drawn.bumps == tuple(bumps) and drawn.coeffs == tuple(coeffs)
 
 
-class TestNodeSets:
-    def test_repeated_rule_is_shared_and_read_only(self):
-        x, w = partitioned_nodes(-1.0, 1.0, (0.3, -0.2), 16)
-        again = partitioned_nodes(-1.0, 1.0, [0.3, -0.2], 16)
-        assert again[0] is x and again[1] is w
-        for arr in (x, w):
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
-        assert partitioned_nodes(-1.0, 1.0, (0.3,), 16)[0] is not x
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Replace owner.name by a spy that records the arguments of each call, and return the record."""
+    calls, real = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or real(*args))
+    return calls
 
+
+def resampled(curve, var, u, alpha, panels):
+    """first_variation with var's carried sampling dropped, so it samples the curve itself."""
+    fv = first_variation(curve, dataclasses.replace(var, sampling=()), u, alpha, panels)
+    return fv.re, fv.du
+
+
+class TestNodeSets:
     @pytest.mark.parametrize(
         "cv, fixer_joins",
         [
@@ -651,13 +657,18 @@ class TestNodeSets:
         ],
         ids=["alpha1", "alpha0"],
     )
-    def test_variation_reuses_the_constraint_nodes(self, cv, fixer_joins):
+    def test_variation_reuses_the_constraint_nodes(self, monkeypatch, cv, fixer_joins):
+        # The first variation reads what the draw sampled when the fixer joined
+        # delta_z; otherwise its rule differs and it samples the curve again.
         for seed in range(3):
-            quadrature._partition.cache_clear()
-            var = make_constrained_variation(cv, seed)
-            first_variation(cv, var, VERTICAL, cv.source.alpha)
+            with monkeypatch.context() as patch:
+                rules = count_calls(patch, quadrature, "partitioned_nodes")
+                slopes = count_calls(patch, cv.y, "deriv"), count_calls(patch, cv.z, "deriv")
+                var = make_constrained_variation(cv, seed)
+                first_variation(cv, var, VERTICAL, cv.source.alpha)
             assert (len(var.delta_z.bumps) > len(var.delta_y.bumps)) == fixer_joins
-            assert quadrature._partition.cache_info().misses == (1 if fixer_joins else 2)
+            assert len(rules) == (1 if fixer_joins else 2)
+            assert [len(c) for c in slopes] == ([1, 1] if fixer_joins else [2, 2])
 
     @pytest.mark.parametrize("panels", [0, -5, 2.5, True])
     def test_rejects_panel_counts_below_one(self, panels):
@@ -685,6 +696,58 @@ class TestNodeSets:
         cv = perturbed_curve(base, BumpSum((Bump.central(*base.domain),), (1.0,)), EMPTY, 0.1)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalFailure, match="not finite"):
             make_constrained_variation(cv, 0)
+
+
+class TestCarriedSampling:
+    """A drawn variation carries the samples its constraint was corrected on, and
+    first_variation reads them only for the curve, panels and deltas they were taken for."""
+
+    U = DirectionSpec(0.3)
+
+    @pytest.mark.parametrize("panels", [64, 16])
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_carried_samples_give_the_bits_of_fresh_ones(self, name, panels):
+        curve = BUILDERS[name]()
+        for seed in range(5):
+            var = make_constrained_variation(curve, seed, panels)
+            # Only a fixer that joined delta_z leaves first_variation's rule the draw's.
+            assert bool(var.sampling) == (len(var.delta_z.bumps) > variational.RANDOM_BUMPS)
+            assert bool(var.sampling) == (name not in ("alpha0-plus", "alpha0-minus"))
+            fv = first_variation(curve, var, self.U, 0.5, panels)
+            assert (fv.re, fv.du) == resampled(curve, var, self.U, 0.5, panels)
+
+    @pytest.mark.parametrize("name", ["alpha1", "alpha-1", "solve", "perturbed"])
+    def test_other_curves_rules_and_fields_sample_afresh(self, monkeypatch, name):
+        curve = BUILDERS[name]()
+        var = make_constrained_variation(curve, 2)
+        assert var.sampling
+        doubled = BumpSum(var.delta_z.bumps, tuple(2.0 * k for k in var.delta_z.coeffs))
+        cases = {
+            "same parameters, another curve": (BUILDERS[name](), var, quadrature.PANELS),
+            "other panels": (curve, var, 16),
+            "replaced delta_z": (curve, dataclasses.replace(var, delta_z=doubled), quadrature.PANELS),
+        }
+        for case, (cv, field, panels) in cases.items():
+            with monkeypatch.context() as patch:
+                rules = count_calls(patch, quadrature, "partitioned_nodes")
+                fv = first_variation(cv, field, self.U, 0.5, panels)
+            assert len(rules) == 1, case
+            assert (fv.re, fv.du) == resampled(cv, field, self.U, 0.5, panels), case
+
+    @pytest.mark.parametrize("drawn, asked", [(64, 64.0), (1, True)])
+    def test_panels_are_checked_before_the_sampling_is_read(self, drawn, asked):
+        # 64.0 == 64 and True == 1: a lookup before the check would let them through.
+        cv = BUILDERS["alpha1"]()
+        var = make_constrained_variation(cv, 0, drawn)
+        assert var.sampling
+        with pytest.raises(InvalidParams, match="panels"):
+            first_variation(cv, var, self.U, 1.0, asked)
+
+    def test_sampling_is_left_out_of_eq_and_repr(self):
+        cv = BUILDERS["alpha1"]()
+        var = make_constrained_variation(cv, 0)
+        bare = dataclasses.replace(var, sampling=())
+        assert var.sampling and var == bare and repr(var) == repr(bare)
 
 
 class TestNoReferenceCycles:
