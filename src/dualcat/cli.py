@@ -29,6 +29,7 @@ from .errors import DualcatError, ImmediateSingularity, InvalidParams, Numerical
 from .quadrature import PANELS
 from .solver import STEP, InitialData, solve_curve
 from .variational import (
+    REPORT_SAMPLES,
     Bump,
     BumpSum,
     energy,
@@ -164,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in INITIAL_FLAGS:
         curve.add_argument(f"--{name}", type=float)
     samples, tol, panels = (argparse.ArgumentParser(add_help=False) for _ in range(3))
-    samples.add_argument("--samples", type=int, default=201)
+    samples.add_argument("--samples", type=int, default=REPORT_SAMPLES)
     tol.add_argument("--tol", type=float, default=None)
     panels.add_argument("--panels", type=int, default=PANELS)
 
@@ -326,7 +327,7 @@ def cmd_variation(args) -> int:
     # that overflows raises, and an inf or NaN dE fails the gate below.
     for i in range(args.count):
         var = make_constrained_variation(tested, args.seed + i, args.panels)
-        fv = first_variation(tested, var, u, args.alpha, args.panels)
+        fv = first_variation(var, u, args.alpha)
         worst = np.maximum(worst, (abs(fv.re), abs(fv.du)))
         print(f"seed {args.seed + i}: dE = {_g17(fv.re)} + {_g17(fv.du)} eps")
 

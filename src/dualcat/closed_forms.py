@@ -199,9 +199,11 @@ def reversed_catenary(
     For any exponent the eps part solves the linearized equation for the
     direction ``(0, 1) + eps*(v, 0)``, and the eps part of the curvature
     vanishes identically because ``z'' = 0``.  Given the first-integral
-    constant c of y, the curve is tagged ``ClosedForm(alpha, c)``.
+    constant c of y, the curve is tagged ``ClosedForm(alpha, c)``.  v must be finite.
     """
     v = float(v)
+    if not np.isfinite(v):
+        raise InvalidParams(f"v must be finite, got {v}")
     z = Coordinate.linear(-v, 0.0)
     w = admissible_w(y, z, lambda x: v * y.value(x))
     return GraphCurve(domain, y, w, z, None if c is None else ClosedForm(alpha, c))

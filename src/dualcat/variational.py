@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -29,6 +30,9 @@ VARIATION_AMP = 0.05
 
 # Random bumps drawn for each component of a seeded variation.
 RANDOM_BUMPS = 3
+
+# Points of the residual report's grid unless the caller asks for another count.
+REPORT_SAMPLES = 201
 
 # An integral counts as zero up to this fraction of the integral of its integrand's
 # size: a structural zero sits at 1e-16 of that or less, a real value at 1e-3 or more.
@@ -186,20 +190,39 @@ class BumpSum:
 
 @dataclass(frozen=True)
 class VariationField:
-    """Pair of test functions (delta_y, delta_z) vanishing at the endpoints.
+    """Pair of test functions (delta_y, delta_z) vanishing at the endpoints of curve.
 
-    ``constraint`` records the quadrature value of
-    ``integral(y'*delta_z' + z'*delta_y')``, which admissible variations keep
-    at zero so the rebuilt w component returns to its endpoint value.
-    ``sampling``, left out of ``==`` and ``repr``, is what make_constrained_variation
-    evaluated when the fixer joined delta_z: the panels, then the curve and deltas it
-    was taken for, then the nodes, weights, y', z', the deltas' values and slopes.
+    ``samples``, taken on first use, is ``_sample`` of the deltas on a rule of ``panels``
+    panels: ``(x, wts, yp, zp, (dyv, dzv), (dyp, dzp))``.  The curve and the samples are
+    left out of ``==``, ``hash`` and ``repr``; ``dataclasses.replace`` gives a field that
+    samples afresh.
     """
 
+    curve: GraphCurve = field(compare=False, repr=False)
     delta_y: BumpSum
     delta_z: BumpSum
-    constraint: float
-    sampling: tuple = field(default=(), compare=False, repr=False)
+    panels: int = quadrature.PANELS
+
+    @cached_property
+    def samples(self) -> tuple:
+        return _sample(self.curve, (self.delta_y, self.delta_z), self.panels)
+
+    @property
+    def constraint(self) -> float:
+        """The rule's value of ``integral(y'*delta_z' + z'*delta_y')``, which admissible
+        variations keep at zero so the rebuilt w component returns to its endpoint value."""
+        _, wts, yp, zp, _, (dyp, dzp) = self.samples
+        return quadrature.integrate(wts, yp * dzp + zp * dyp)
+
+
+def _sample(curve: GraphCurve, sums: tuple[BumpSum, ...], panels: int) -> tuple:
+    """The rule split at the curve's breakpoints and every edge of the sums' bumps, then
+    y' and z' on its nodes and the sums' values and slopes there from one pass:
+    ``(x, wts, yp, zp, values, slopes)``."""
+    a, b = curve.domain
+    x, wts = quadrature.partitioned_nodes(a, b, curve.breakpoints + tuple(e for bs in sums for e in bs.edges()), panels)
+    values, slopes = BumpSum._evaluate(x, sums, "value", "deriv")
+    return x, wts, np.asarray(curve.y.deriv(x), float), np.asarray(curve.z.deriv(x), float), values, slopes
 
 
 def _uniform(u: float, low: float, high: float) -> float:
@@ -241,12 +264,7 @@ def make_constrained_variation(
     dy = _random_bumps(rng, a, b)
     dz = _random_bumps(rng, a, b)
     fixer = BumpSum((Bump.central(a, b),), (1.0,))
-
-    breaks = curve.breakpoints + dy.edges() + dz.edges() + fixer.edges()
-    x, wts = quadrature.partitioned_nodes(a, b, breaks, panels)
-    yp = np.asarray(curve.y.deriv(x), float)
-    zp = np.asarray(curve.z.deriv(x), float)
-    (dyv, dzv, fv), (dyp, dzp, fp) = BumpSum._evaluate(x, (dy, dz, fixer), "value", "deriv")
+    x, wts, yp, zp, (dyv, dzv, fv), (dyp, dzp, fp) = _sample(curve, (dy, dz, fixer), panels)
 
     k_raw = quadrature.integrate(wts, yp * dzp + zp * dyp)
     denom = quadrature.integrate(wts, yp * fp)
@@ -258,16 +276,14 @@ def make_constrained_variation(
             raise DegenerateVariation(
                 f"the fixer integral {denom:.3e} vanishes on this curve, so it cannot absorb the constraint {k_raw:.3e}"
             )
-        corrected, sampling = dz, ()
-    else:
-        coeff = -k_raw / denom
-        corrected = BumpSum(dz.bumps + fixer.bumps, dz.coeffs + (coeff,))
-        # corrected's values and slopes bit for bit: BumpSum sums in order, fixer last.
-        dzv, dzp = dzv + coeff * fv, dzp + coeff * fp
-        sampling = (panels, (curve, dy, corrected), (x, wts, yp, zp, dyv, dzv, dyp, dzp))
+        # Without the fixer the field's rule is another one, which it samples on first use.
+        return VariationField(curve, dy, dz, panels)
 
-    k_final = quadrature.integrate(wts, yp * dzp + zp * dyp)
-    return VariationField(dy, corrected, k_final, sampling)
+    coeff = -k_raw / denom
+    var = VariationField(curve, dy, BumpSum(dz.bumps + fixer.bumps, dz.coeffs + (coeff,)), panels)
+    # The corrected delta_z's values and slopes bit for bit: BumpSum sums in order, fixer last.
+    vars(var)["samples"] = (x, wts, yp, zp, (dyv, dzv + coeff * fv), (dyp, dzp + coeff * fp))
+    return var
 
 
 def perturbed_curve(curve: GraphCurve, delta_y: BumpSum, delta_z: BumpSum, scale: float) -> GraphCurve:
@@ -276,10 +292,12 @@ def perturbed_curve(curve: GraphCurve, delta_y: BumpSum, delta_z: BumpSum, scale
     The deltas are BumpSums, whose edges join the curve's breakpoints.  The rebuilt w has
     ``w' = -y'*z'``, so the result is admissible by construction; its values come from one
     cumulative table of that integrand on the new curve's table edges, anchored at the left
-    endpoint to the original w and built when a w value is first asked for.
+    endpoint to the original w and built when a w value is first asked for.  scale must be finite.
     """
     a, _ = curve.domain
     s = float(scale)
+    if not math.isfinite(s):
+        raise InvalidParams(f"scale must be finite, got {scale}")
 
     def moved(base: Coordinate, delta) -> Coordinate:
         return Coordinate(
@@ -296,14 +314,8 @@ def perturbed_curve(curve: GraphCurve, delta_y: BumpSum, delta_z: BumpSum, scale
     return GraphCurve(curve.domain, y2, w, z2, breakpoints=breaks)
 
 
-def first_variation(
-    curve: GraphCurve,
-    var: VariationField,
-    u: DirectionSpec,
-    alpha: float,
-    panels: int = quadrature.PANELS,
-) -> DualScalar:
-    """Directional derivative of the energy along var, in closed form.
+def first_variation(var: VariationField, u: DirectionSpec, alpha: float) -> DualScalar:
+    """Directional derivative of the energy of var's curve along var, in closed form.
 
     y and z move by ``s*delta`` and w is rebuilt from admissibility, as in
     ``perturbed_curve``: at s = 0, ``dH = delta_y + eps*delta_z`` and
@@ -311,19 +323,10 @@ def first_variation(
     The chain rule in the dual algebra gives the integrand
     ``alpha*H**(alpha-1)*dH*|gamma'| + H**alpha*<gamma', dgamma'>/|gamma'|``.
     Both dual components vanish, to quadrature accuracy, at stationary
-    curves.  The panels split at the curve's breakpoints and the bump edges; var's
-    sampling is read instead when it was taken on this curve and panels for these deltas.
+    curves.  The integral is taken on var's samples.
     """
-    check_integer("panels", panels, 1)
-    dy, dz = var.delta_y, var.delta_z
-    n, owners, samples = var.sampling or (None, (), None)
-    if n != panels or any(p is not q for p, q in zip(owners, (curve, dy, dz))):
-        a, b = curve.domain
-        x, wts = quadrature.partitioned_nodes(a, b, curve.breakpoints + dy.edges() + dz.edges(), panels)
-        (dyv, dzv), (dyp, dzp) = BumpSum._evaluate(x, (dy, dz), "value", "deriv")
-        samples = (x, wts, curve.y.deriv(x), curve.z.deriv(x), dyv, dzv, dyp, dzp)
-    x, wts, yp, zp, dyv, dzv, dyp, dzp = samples
-    height = curve.height(u, x)
+    x, wts, yp, zp, (dyv, dzv), (dyp, dzp) = var.samples
+    height = var.curve.height(u, x)
     vel = DualVec2((1.0, yp), (-yp * zp, zp))
     dvel = DualVec2((0.0, dyp), (-(yp * dzp + zp * dyp), dzp))
     speed = dual_norm(vel)
@@ -352,7 +355,7 @@ def resolve_c(curve: GraphCurve, alpha: float, x0: float) -> float:
     return infer_c(curve, alpha, x0)
 
 
-def residual_report(curve: GraphCurve, alpha: float, u: DirectionSpec, num: int = 201) -> ResidualReport:
+def residual_report(curve: GraphCurve, alpha: float, u: DirectionSpec, num: int = REPORT_SAMPLES) -> ResidualReport:
     """Evaluate all pointwise residuals on ``num`` evenly spaced points of the domain.
 
     The Euler-Lagrange residuals are the speed nu times the two parts of the

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import math
@@ -441,16 +442,31 @@ class TestVariation:
         got, out, err = run_cli(capsys, "variation", *argv, "--count", "3")
         assert (got, out, err) == (code, "\n".join(lines) + "\n", "")
 
-    def test_panels_reach_the_library(self, capsys):
-        argv = ("variation", "--alpha", "1", "--perturb", "0.1", "--count", "1")
+    @pytest.mark.parametrize(
+        "argv, build",
+        [
+            (
+                ("--alpha", "1", "--perturb", "0.1"),
+                lambda: dualcat.perturbed_curve(
+                    dualcat.closed_form(dualcat.CatenaryParams(alpha=1.0), (-1.0, 1.0)),
+                    dualcat.BumpSum((dualcat.Bump(0.0, 0.6),), (1.0,)), dualcat.BumpSum((), ()), 0.1,
+                ),
+            ),
+            # The fixer stays out at exponent 0, so the field samples itself later, with the panels it was given.
+            (
+                ("--alpha", "0", "--c", "1.5", "--m", "2"),
+                lambda: dualcat.closed_form(dualcat.CatenaryParams(alpha=0.0, c=1.5, m=2.0)),
+            ),
+        ],
+        ids=["alpha1", "alpha0"],
+    )
+    def test_panels_reach_the_library(self, capsys, argv, build):
+        argv = ("variation", *argv, "--count", "1")
         _, out, _ = run_cli(capsys, *argv, "--panels", "8")
         _, default, _ = run_cli(capsys, *argv)
-        curve = dualcat.perturbed_curve(
-            dualcat.closed_form(dualcat.CatenaryParams(alpha=1.0), (-1.0, 1.0)),
-            dualcat.BumpSum((dualcat.Bump(0.0, 0.6),), (1.0,)), dualcat.BumpSum((), ()), 0.1,
-        )
-        var = dualcat.make_constrained_variation(curve, 0, panels=8)
-        fv = dualcat.first_variation(curve, var, dualcat.DirectionSpec(0.0), 1.0, panels=8)
+        var = dualcat.make_constrained_variation(build(), 0, panels=8)
+        assert var.panels == 8
+        fv = dualcat.first_variation(var, dualcat.DirectionSpec(0.0), float(argv[2]))
         first = "seed 0: dE = %.17g + %.17g eps" % (fv.re, fv.du)
         assert out.splitlines()[0] == first
         assert default.splitlines()[0] != first
@@ -504,9 +520,9 @@ class TestVariation:
         "argv, builds", [(("--alpha", "1"), 3), (("--alpha", "0", "--c", "1.5", "--m", "2"), 6)], ids=["alpha1", "alpha0"]
     )
     def test_one_node_set_per_seed(self, capsys, monkeypatch, argv, builds):
-        # The first variation reads the samples the constraint was corrected on
-        # when the fixer bump joined delta_z; at exponent 0 its denominator
-        # vanishes, the fixer stays out and each seed builds a second node set.
+        # A field holds the samples the constraint was corrected on when the fixer
+        # bump joined delta_z; at exponent 0 its denominator vanishes, the fixer
+        # stays out and each field builds a second node set on first use.
         calls, build = [], quadrature.partitioned_nodes
         monkeypatch.setattr(quadrature, "partitioned_nodes", lambda *args: calls.append(args) or build(*args))
         code, _, _ = run_cli(capsys, "variation", *argv, "--count", "3")
@@ -725,6 +741,13 @@ def test_each_subcommand_accepts_only_the_flags_it_reads():
     assert {name: len(flags) for name, flags in accepted.items()} == {
         "generate": 19, "verify": 20, "energy": 18, "variation": 22,
     }
+
+
+def test_samples_default_is_the_report_default():
+    # One constant owns the report's grid size, as quadrature.PANELS owns the rule's panels.
+    default = inspect.signature(dualcat.residual_report).parameters["num"].default
+    for command in ("generate", "verify"):
+        assert cli.build_parser().parse_args([command, "--alpha", "1"]).samples == default == 201
 
 
 def test_module_entry_point():

@@ -204,6 +204,13 @@ class TestReversed:
             assert rev.w.value(x) == pytest.approx(2.0 * math.cosh(x), rel=1e-15)
             assert rev.z.value(x) == -2.0 * x
 
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_tilt_that_is_not_finite(self, v):
+        # Without the check z and w would be NaN everywhere.
+        base = catenary_alpha1(CatenaryParams(alpha=1.0))
+        with pytest.raises(InvalidParams, match="v must be finite"):
+            reversed_catenary(1.0, base.y, v, base.domain, 1.0)
+
     def test_admissible_and_purely_real_curvature(self):
         base = catenary_alpha_minus1(CatenaryParams(alpha=-1.0, R=1.5))
         rev = reversed_catenary(-1.0, base.y, 0.8, base.domain, c=base.source.c)

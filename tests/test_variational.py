@@ -113,7 +113,7 @@ class TestEnergy:
         # variation may evaluate w (on perturbed curves each value is a quad).
         cv = curve_without_w_values()
         assert energy(cv, VERTICAL, 1.0).e0 == pytest.approx(1.0 + math.sinh(2.0) / 2.0, abs=1e-12)
-        fv = first_variation(cv, make_constrained_variation(cv, 0), VERTICAL, 1.0)
+        fv = first_variation(make_constrained_variation(cv, 0), VERTICAL, 1.0)
         assert abs(fv.re) <= 1e-6 and abs(fv.du) <= 1e-6
 
     def test_rejects_nonpositive_height(self):
@@ -252,7 +252,7 @@ class TestResiduals:
         fd = (ep.e0 - em.e0) / (2.0 * h)
         assert fd == pytest.approx(oracle, abs=1e-8)
 
-        fv = first_variation(base, VariationField(delta, EMPTY, 0.0), VERTICAL, alpha)
+        fv = first_variation(VariationField(base, delta, EMPTY), VERTICAL, alpha)
         assert fv.re == pytest.approx(oracle, abs=1e-12)
         assert fv.du == 0.0
 
@@ -275,7 +275,7 @@ class TestResiduals:
             y = curve.y.value(xs)
             nu = np.hypot(1.0, curve.y.deriv(xs))
             oracle = float(np.dot(wts, alpha * y ** (alpha - 1.0) * nu * delta.value(xs)))
-            fv = first_variation(curve, VariationField(EMPTY, delta, 0.0), DirectionSpec(v), alpha)
+            fv = first_variation(VariationField(curve, EMPTY, delta), DirectionSpec(v), alpha)
             assert fv.re == 0.0
             assert fv.du == pytest.approx(oracle, abs=1e-12)
 
@@ -362,7 +362,7 @@ class TestVariations:
         for cv, alpha, v in cases:
             u = DirectionSpec(v)
             for seed in range(8):
-                fv = first_variation(cv, make_constrained_variation(cv, seed), u, alpha)
+                fv = first_variation(make_constrained_variation(cv, seed), u, alpha)
                 assert abs(fv.re) <= 1e-6
                 assert abs(fv.du) <= 1e-6
 
@@ -370,7 +370,7 @@ class TestVariations:
         cv = catenary_alpha1(CatenaryParams(alpha=1.0))
         pert = perturbed_curve(cv, BumpSum((Bump(0.0, 0.6),), (1.0,)), EMPTY, 0.1)
         responses = [
-            abs(first_variation(pert, make_constrained_variation(pert, seed), VERTICAL, 1.0).re)
+            abs(first_variation(make_constrained_variation(pert, seed), VERTICAL, 1.0).re)
             for seed in range(20)
         ]
         assert max(responses) >= 1e-3
@@ -383,7 +383,7 @@ class TestVariations:
         u = DirectionSpec(0.5)
         for seed in range(5):
             var = make_constrained_variation(cv, seed)
-            fv = first_variation(cv, var, u, 1.0)
+            fv = first_variation(var, u, 1.0)
             for h in (1e-4, 5e-5):
                 ep = energy(perturbed_curve(cv, var.delta_y, var.delta_z, +h), u, 1.0)
                 em = energy(perturbed_curve(cv, var.delta_y, var.delta_z, -h), u, 1.0)
@@ -393,6 +393,13 @@ class TestVariations:
 
 
 class TestPerturbedCurve:
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_scale_that_is_not_finite(self, scale):
+        # Without the check a NaN scale reaches y, and energy blames the height.
+        cv = catenary_alpha1(CatenaryParams(alpha=1.0))
+        with pytest.raises(InvalidParams, match="scale must be finite"):
+            perturbed_curve(cv, BumpSum((Bump.central(*cv.domain),), (1.0,)), EMPTY, scale)
+
     def test_stays_admissible(self):
         cv = catenary_alpha1(CatenaryParams(alpha=1.0, c=1.5, v=0.7, d1=0.5, d2=-0.6))
         var = make_constrained_variation(cv, 3)
@@ -486,8 +493,8 @@ class TestCurveBreakpoints:
     def test_first_variation_splits_at_the_bumps(self, seed):
         cv, _ = bumped_catenary()
         var = make_constrained_variation(cv, seed)
-        got = first_variation(cv, var, self.U, 1.0)
-        want = first_variation(cv, var, self.U, 1.0, panels=20000)
+        got = first_variation(var, self.U, 1.0)
+        want = first_variation(dataclasses.replace(var, panels=20000), self.U, 1.0)
         assert abs(got.re - want.re) <= 1e-12
         assert abs(got.du - want.du) <= 1e-12
 
@@ -642,9 +649,9 @@ def count_calls(monkeypatch, owner, name: str) -> list:
     return calls
 
 
-def resampled(curve, var, u, alpha, panels):
-    """first_variation with var's carried sampling dropped, so it samples the curve itself."""
-    fv = first_variation(curve, dataclasses.replace(var, sampling=()), u, alpha, panels)
+def fresh_first_variation(var, u, alpha):
+    """first_variation on a field built from var's curve, deltas and panels, which samples them itself."""
+    fv = first_variation(VariationField(var.curve, var.delta_y, var.delta_z, var.panels), u, alpha)
     return fv.re, fv.du
 
 
@@ -658,14 +665,14 @@ class TestNodeSets:
         ids=["alpha1", "alpha0"],
     )
     def test_variation_reuses_the_constraint_nodes(self, monkeypatch, cv, fixer_joins):
-        # The first variation reads what the draw sampled when the fixer joined
-        # delta_z; otherwise its rule differs and it samples the curve again.
+        # A field whose fixer joined delta_z holds what the draw sampled; otherwise
+        # its rule differs and it samples the curve again on first use.
         for seed in range(3):
             with monkeypatch.context() as patch:
                 rules = count_calls(patch, quadrature, "partitioned_nodes")
                 slopes = count_calls(patch, cv.y, "deriv"), count_calls(patch, cv.z, "deriv")
                 var = make_constrained_variation(cv, seed)
-                first_variation(cv, var, VERTICAL, cv.source.alpha)
+                first_variation(var, VERTICAL, cv.source.alpha)
             assert (len(var.delta_z.bumps) > len(var.delta_y.bumps)) == fixer_joins
             assert len(rules) == (1 if fixer_joins else 2)
             assert [len(c) for c in slopes] == ([1, 1] if fixer_joins else [2, 2])
@@ -678,7 +685,8 @@ class TestNodeSets:
             lambda: partitioned_nodes(-1.0, 1.0, (), panels),
             lambda: energy(cv, VERTICAL, 1.0, panels=panels),
             lambda: make_constrained_variation(cv, 0, panels=panels),
-            lambda: first_variation(cv, var, VERTICAL, 1.0, panels=panels),
+            lambda: first_variation(dataclasses.replace(var, panels=panels), VERTICAL, 1.0),
+            lambda: VariationField(cv, EMPTY, EMPTY, panels).constraint,
         ):
             with pytest.raises(InvalidParams, match="panels"):
                 integrate()
@@ -698,56 +706,63 @@ class TestNodeSets:
             make_constrained_variation(cv, 0)
 
 
-class TestCarriedSampling:
-    """A drawn variation carries the samples its constraint was corrected on, and
-    first_variation reads them only for the curve, panels and deltas they were taken for."""
+class TestFieldSamples:
+    """A variation samples its curve on first use; a drawn one comes with the samples its
+    constraint was corrected on, which are the ones it would take itself."""
 
     U = DirectionSpec(0.3)
 
     @pytest.mark.parametrize("panels", [64, 16])
     @pytest.mark.parametrize("name", BUILDERS)
-    def test_carried_samples_give_the_bits_of_fresh_ones(self, name, panels):
+    def test_drawn_samples_give_the_bits_of_fresh_ones(self, name, panels):
         curve = BUILDERS[name]()
         for seed in range(5):
             var = make_constrained_variation(curve, seed, panels)
-            # Only a fixer that joined delta_z leaves first_variation's rule the draw's.
-            assert bool(var.sampling) == (len(var.delta_z.bumps) > variational.RANDOM_BUMPS)
-            assert bool(var.sampling) == (name not in ("alpha0-plus", "alpha0-minus"))
-            fv = first_variation(curve, var, self.U, 0.5, panels)
-            assert (fv.re, fv.du) == resampled(curve, var, self.U, 0.5, panels)
+            assert var.curve is curve and var.panels == panels
+            # Only a fixer that joined delta_z leaves the draw's rule the field's.
+            drawn = "samples" in vars(var)
+            assert drawn == (len(var.delta_z.bumps) > variational.RANDOM_BUMPS)
+            assert drawn == (name not in ("alpha0-plus", "alpha0-minus"))
+            fv = first_variation(var, self.U, 0.5)
+            assert (fv.re, fv.du) == fresh_first_variation(var, self.U, 0.5)
 
     @pytest.mark.parametrize("name", ["alpha1", "alpha-1", "solve", "perturbed"])
-    def test_other_curves_rules_and_fields_sample_afresh(self, monkeypatch, name):
+    def test_replaced_fields_sample_afresh(self, monkeypatch, name):
         curve = BUILDERS[name]()
         var = make_constrained_variation(curve, 2)
-        assert var.sampling
+        assert "samples" in vars(var)
         doubled = BumpSum(var.delta_z.bumps, tuple(2.0 * k for k in var.delta_z.coeffs))
         cases = {
-            "same parameters, another curve": (BUILDERS[name](), var, quadrature.PANELS),
-            "other panels": (curve, var, 16),
-            "replaced delta_z": (curve, dataclasses.replace(var, delta_z=doubled), quadrature.PANELS),
+            "another delta_z": dataclasses.replace(var, delta_z=doubled),
+            "same parameters, another curve": dataclasses.replace(var, curve=BUILDERS[name]()),
+            "other panels": dataclasses.replace(var, panels=16),
         }
-        for case, (cv, field, panels) in cases.items():
+        for case, field in cases.items():
+            assert field == VariationField(field.curve, field.delta_y, field.delta_z, field.panels), case
             with monkeypatch.context() as patch:
                 rules = count_calls(patch, quadrature, "partitioned_nodes")
-                fv = first_variation(cv, field, self.U, 0.5, panels)
+                fv = [(d.re, d.du) for d in (first_variation(field, self.U, 0.5), first_variation(field, self.U, 0.5))]
             assert len(rules) == 1, case
-            assert (fv.re, fv.du) == resampled(cv, field, self.U, 0.5, panels), case
+            assert fv == 2 * [fresh_first_variation(field, self.U, 0.5)], case
+        assert cases["same parameters, another curve"].curve is not curve
 
-    @pytest.mark.parametrize("drawn, asked", [(64, 64.0), (1, True)])
-    def test_panels_are_checked_before_the_sampling_is_read(self, drawn, asked):
-        # 64.0 == 64 and True == 1: a lookup before the check would let them through.
-        cv = BUILDERS["alpha1"]()
-        var = make_constrained_variation(cv, 0, drawn)
-        assert var.sampling
-        with pytest.raises(InvalidParams, match="panels"):
-            first_variation(cv, var, self.U, 1.0, asked)
+    def test_eq_hash_and_repr_ignore_the_curve_and_the_samples(self):
+        var = make_constrained_variation(BUILDERS["alpha1"](), 0)
+        other = VariationField(BUILDERS["alpha-1"](), var.delta_y, var.delta_z)
+        assert "samples" in vars(var) and "samples" not in vars(other)
+        assert var == other and hash(var) == hash(other) and repr(var) == repr(other)
+        assert "curve" not in repr(var) and "samples" not in repr(var)
+        assert var != dataclasses.replace(var, panels=16)
 
-    def test_sampling_is_left_out_of_eq_and_repr(self):
-        cv = BUILDERS["alpha1"]()
-        var = make_constrained_variation(cv, 0)
-        bare = dataclasses.replace(var, sampling=())
-        assert var.sampling and var == bare and repr(var) == repr(bare)
+    @pytest.mark.parametrize("name", ["alpha1", "alpha0-plus", "perturbed"])
+    def test_hand_built_constraint_is_the_rule_on_its_own_samples(self, name):
+        curve = BUILDERS[name]()
+        dy = BumpSum((Bump(-0.3, 0.2),), (0.04,))
+        dz = BumpSum((Bump(0.2, 0.3), Bump(-0.5, 0.15)), (-0.03, 0.02))
+        var = VariationField(curve, dy, dz, 16)
+        x, wts = partitioned_nodes(*curve.domain, curve.breakpoints + dy.edges() + dz.edges(), 16)
+        yp, zp = np.asarray(curve.y.deriv(x), float), np.asarray(curve.z.deriv(x), float)
+        assert var.constraint == quadrature.integrate(wts, yp * dz.deriv(x) + zp * dy.deriv(x))
 
 
 class TestNoReferenceCycles:
@@ -808,7 +823,7 @@ class TestReport:
         var = make_constrained_variation(cv, 0)
         for evaluate in (
             lambda: energy(cv, VERTICAL, alpha),
-            lambda: first_variation(cv, var, VERTICAL, alpha),
+            lambda: first_variation(var, VERTICAL, alpha),
             lambda: residual_report(cv, alpha, VERTICAL),
         ):
             with pytest.raises(InvalidParams, match="finite"):
