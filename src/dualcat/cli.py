@@ -83,7 +83,8 @@ def _parse_domain(text: str) -> tuple[float, float]:
 
 
 def _validate(args) -> None:
-    """Reject non-finite float flags and integer flags outside their bounds."""
+    """Reject non-finite float flags and integer flags outside their bounds, then
+    replace --domain's text, where given, with its (lo, hi)."""
     for name, val in vars(args).items():
         if isinstance(val, float) and not math.isfinite(val):
             raise InvalidParams(f"--{name.replace('_', '-')} must be finite, got {val}")
@@ -95,6 +96,8 @@ def _validate(args) -> None:
             raise InvalidParams(f"--{name} must be at most {high}")
     if getattr(args, "tol", None) is not None and args.tol < 0.0:
         raise InvalidParams(f"--tol must not be negative, got {args.tol}")
+    if args.domain is not None:
+        args.domain = _parse_domain(args.domain)
 
 
 def _gate(values: dict, tol: float, **shown: float) -> int:
@@ -217,14 +220,13 @@ def _params(args, alpha: float) -> CatenaryParams:
 def _initial_data(args) -> tuple[InitialData, tuple[float, float]]:
     """A solve's initial data from the flags given, and its requested domain;
     x0 is 0 when the domain holds it, else the domain's midpoint."""
-    lo, hi = _parse_domain(args.domain) if args.domain is not None else DEFAULT_DOMAIN
+    lo, hi = args.domain or DEFAULT_DOMAIN
     x0 = 0.0 if lo <= 0.0 <= hi else 0.5 * (lo + hi)
     return InitialData(x0, **_given(args, INITIAL_FLAGS)), (lo, hi)
 
 
 def _build_curve(args, family_alpha: float) -> GraphCurve:
     """Curve from flags: a solve with --solve, else the closed form."""
-    domain = _parse_domain(args.domain) if args.domain is not None else None
     unread = _given(args, CLOSED_FLAGS if args.solve else (*INITIAL_FLAGS, "step"))
     if unread:
         flags = ", ".join(f"--{name}" for name in unread)
@@ -238,7 +240,7 @@ def _build_curve(args, family_alpha: float) -> GraphCurve:
         raise InvalidParams(
             f"exponent {family_alpha:g} has no closed form; pass --solve to integrate numerically"
         )
-    return closed_form(_params(args, family_alpha), domain)
+    return closed_form(_params(args, family_alpha), args.domain)
 
 
 def _summary(curve: GraphCurve, report) -> dict:

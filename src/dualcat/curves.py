@@ -91,12 +91,14 @@ def admissible_w(y: Coordinate, z: Coordinate, value: Callable) -> Coordinate:
     )
 
 
-def recover_w(y: Coordinate, z: Coordinate, edges: Callable, x0: float, w0: Callable[[], float]) -> Coordinate:
-    """The admissible w for y and z with ``w(x0) = w0()``.
+def recover_w(
+    y: Coordinate, z: Coordinate, domain: tuple[float, float], breakpoints: tuple[float, ...], x0: float, w0: Callable
+) -> Coordinate:
+    """The admissible w for y and z on domain with ``w(x0) = w0()``.
 
     Values are ``(w0() - F(x0)) + F(x)``, with F one cumulative table of w'
-    over ``edges()``.  Table and anchor are built, and edges and w0 are
-    called, when a value is first asked for.
+    over ``table_edges(domain, y, breakpoints)``.  Table and anchor are built,
+    and w0 is called, when a value is first asked for.
     """
 
     # The table's integrand comes from a w of its own, so w's values do not
@@ -105,7 +107,7 @@ def recover_w(y: Coordinate, z: Coordinate, edges: Callable, x0: float, w0: Call
 
     @cache
     def anchored() -> tuple[quadrature.CumulativeIntegral, float]:
-        table = quadrature.CumulativeIntegral(slopes.deriv, edges())
+        table = quadrature.CumulativeIntegral(slopes.deriv, table_edges(domain, y, breakpoints))
         return table, float(w0()) - table(x0)
 
     def value(x):

@@ -180,10 +180,5 @@ def solve_curve(
     # A whole last step may end up to STEP_SLACK steps past the request.
     lo, hi = max(float(grid[0]), a), min(float(grid[-1]), b)
     short = lo - a > STEP_SLACK * step or b - hi > STEP_SLACK * step
-    return GraphCurve(
-        (lo, hi),
-        y_of,
-        recover_w(y_of, z_of, lambda: grid, init.x0, lambda: init.w0),
-        z_of,
-        Numeric(trunc_l or trunc_r or short),
-    )
+    w_of = recover_w(y_of, z_of, (lo, hi), (), init.x0, lambda: init.w0)
+    return GraphCurve((lo, hi), y_of, w_of, z_of, Numeric(trunc_l or trunc_r or short))

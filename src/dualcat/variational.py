@@ -20,7 +20,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import quadrature
-from .curves import ClosedForm, Coordinate, Frame, GraphCurve, Numeric, recover_w, table_edges
+from .curves import ClosedForm, Coordinate, Frame, GraphCurve, SampledCoordinate, recover_w
 from .dual import DirectionSpec, DualScalar, DualVec2, dual_dot, dual_norm
 from .errors import DegenerateVariation, InvalidParams, NumericalFailure, check_integer
 
@@ -253,8 +253,9 @@ def make_constrained_variation(
     RANDOM_BUMPS bumps are drawn for each component; a fixed central bump added to delta_z
     absorbs the constraint integral, which splits at the curve's breakpoints and bump edges.
     An integral counts as zero up to VANISHING times the integral of its integrand's size,
-    so whether the fixer's vanishes depends on the curve and not on the seed; where it does
-    and the constraint does not, DegenerateVariation is raised.  When either integral
+    so whether the fixer's vanishes depends on the curve and not on the seed; where it does,
+    the fixer's coefficient is 0 if the constraint vanishes too, and DegenerateVariation is
+    raised if not.  The field comes with the samples of the draw's rule.  When either integral
     overflows, as the slopes of a bump on a very short interval can make it, NumericalFailure is raised.
     seed must be an integer of at least 0, and not a bool.
     """
@@ -271,15 +272,15 @@ def make_constrained_variation(
     if not (math.isfinite(k_raw) and math.isfinite(denom)):
         raise NumericalFailure(f"seed {seed}: constraint integral {k_raw:.3e} or its correction {denom:.3e} is not finite")
 
-    if abs(denom) <= VANISHING * quadrature.integrate(wts, np.abs(yp * fp)):
-        if abs(k_raw) > VANISHING * quadrature.integrate(wts, np.abs(yp * dzp) + np.abs(zp * dyp)):
-            raise DegenerateVariation(
-                f"the fixer integral {denom:.3e} vanishes on this curve, so it cannot absorb the constraint {k_raw:.3e}"
-            )
-        # Without the fixer the field's rule is another one, which it samples on first use.
-        return VariationField(curve, dy, dz, panels)
-
-    coeff = -k_raw / denom
+    if abs(denom) > VANISHING * quadrature.integrate(wts, np.abs(yp * fp)):
+        coeff = -k_raw / denom
+    elif abs(k_raw) <= VANISHING * quadrature.integrate(wts, np.abs(yp * dzp) + np.abs(zp * dyp)):
+        # Nothing to absorb: the fixer joins with coefficient 0, so the field keeps the draw's rule.
+        coeff = 0.0
+    else:
+        raise DegenerateVariation(
+            f"the fixer integral {denom:.3e} vanishes on this curve, so it cannot absorb the constraint {k_raw:.3e}"
+        )
     var = VariationField(curve, dy, BumpSum(dz.bumps + fixer.bumps, dz.coeffs + (coeff,)), panels)
     # The corrected delta_z's values and slopes bit for bit: BumpSum sums in order, fixer last.
     vars(var)["samples"] = (x, wts, yp, zp, (dyv, dzv + coeff * fv), (dyp, dzp + coeff * fp))
@@ -308,9 +309,7 @@ def perturbed_curve(curve: GraphCurve, delta_y: BumpSum, delta_z: BumpSum, scale
 
     y2, z2 = moved(curve.y, delta_y), moved(curve.z, delta_z)
     breaks = curve.breakpoints + delta_y.edges() + delta_z.edges()
-    # The edges are those of the new curve, computed without it: w holding
-    # the curve it belongs to would be a reference cycle.
-    w = recover_w(y2, z2, lambda: table_edges(curve.domain, y2, breaks), a, lambda: curve.w.value(a))
+    w = recover_w(y2, z2, curve.domain, breaks, a, lambda: curve.w.value(a))
     return GraphCurve(curve.domain, y2, w, z2, breakpoints=breaks)
 
 
@@ -360,8 +359,8 @@ def residual_report(curve: GraphCurve, alpha: float, u: DirectionSpec, num: int 
 
     The Euler-Lagrange residuals are the speed nu times the two parts of the
     characterization, from one frame.  A solve's y'' and z'' are exact at its
-    knots, so on a Numeric curve each maximum also takes the two Gauss points
-    ``mid +- h/(2*sqrt(3))`` of every knot cell, where the interpolation error
+    knots, so where y is a SampledCoordinate each maximum also takes the two Gauss
+    points ``mid +- h/(2*sqrt(3))`` of its knot cells, where the interpolation error
     shows; the residual rows stay on the grid.  Only y, z and w's admissible
     derivatives are read, never w's values.  num must be an integer of at least 2,
     and not a bool, and alpha must be finite.
@@ -372,7 +371,7 @@ def residual_report(curve: GraphCurve, alpha: float, u: DirectionSpec, num: int 
     a, b = curve.domain
     xs = np.linspace(a, b, num)
     x = xs
-    if isinstance(curve.source, Numeric):
+    if isinstance(curve.y, SampledCoordinate):
         knots = curve.y.grid
         mid, off = 0.5 * (knots[:-1] + knots[1:]), np.diff(knots) / (2.0 * math.sqrt(3.0))
         x = np.concatenate((xs, mid - off, mid + off))

@@ -37,7 +37,7 @@ from dualcat import (
     solve_curve,
 )
 from dualcat import quadrature, variational
-from dualcat.curves import table_edges
+from dualcat.curves import Numeric, table_edges
 from dualcat.quadrature import partitioned_nodes
 from references import el_residual_dual, el_residual_real, multiplier_residual
 from test_curves import BUILDERS
@@ -344,14 +344,20 @@ class TestVariations:
                 make_constrained_variation(cv, seed)
 
     @pytest.mark.parametrize("c", [1e5, 1e8])
-    def test_steep_line_keeps_the_fixer_out(self, c):
+    def test_steep_line_gives_the_fixer_coefficient_zero(self, c):
         # At exponent 0 the curve is a line and the fixer integral vanishes
         # structurally, however steep: every seed builds, and the rounding
-        # left in either integral never brings the fixer in.
+        # left in either integral never gives the fixer a weight.  The field
+        # carries the draw's samples, which are the ones it would take itself.
         cv = catenary_alpha0(CatenaryParams(alpha=0.0, c=c, m=2.0 * c))
+        u = DirectionSpec(0.3)
         for seed in range(20):
             var = make_constrained_variation(cv, seed)
-            assert len(var.delta_z.bumps) == variational.RANDOM_BUMPS
+            assert len(var.delta_z.bumps) == variational.RANDOM_BUMPS + 1
+            assert (var.delta_z.bumps[-1], var.delta_z.coeffs[-1]) == (Bump.central(*cv.domain), 0.0)
+            assert "samples" in vars(var)
+            fv = first_variation(var, u, 0.0)
+            assert (fv.re, fv.du) == fresh_first_variation(var, u, 0.0)
 
     def test_stationary_first_variation_vanishes(self):
         cases = [
@@ -657,25 +663,25 @@ def fresh_first_variation(var, u, alpha):
 
 class TestNodeSets:
     @pytest.mark.parametrize(
-        "cv, fixer_joins",
+        "cv",
         [
-            (catenary_alpha1(CatenaryParams(alpha=1.0, c=1.3, v=0.3, d1=0.4)), True),
-            (catenary_alpha0(CatenaryParams(alpha=0.0, c=1.5, m=2.0)), False),
+            catenary_alpha1(CatenaryParams(alpha=1.0, c=1.3, v=0.3, d1=0.4)),
+            catenary_alpha0(CatenaryParams(alpha=0.0, c=1.5, m=2.0)),
         ],
         ids=["alpha1", "alpha0"],
     )
-    def test_variation_reuses_the_constraint_nodes(self, monkeypatch, cv, fixer_joins):
-        # A field whose fixer joined delta_z holds what the draw sampled; otherwise
-        # its rule differs and it samples the curve again on first use.
+    def test_variation_reuses_the_constraint_nodes(self, monkeypatch, cv):
+        # The fixer joins delta_z on every curve (with coefficient 0 at exponent 0),
+        # and the field holds what the draw sampled.
         for seed in range(3):
             with monkeypatch.context() as patch:
                 rules = count_calls(patch, quadrature, "partitioned_nodes")
                 slopes = count_calls(patch, cv.y, "deriv"), count_calls(patch, cv.z, "deriv")
                 var = make_constrained_variation(cv, seed)
                 first_variation(var, VERTICAL, cv.source.alpha)
-            assert (len(var.delta_z.bumps) > len(var.delta_y.bumps)) == fixer_joins
-            assert len(rules) == (1 if fixer_joins else 2)
-            assert [len(c) for c in slopes] == ([1, 1] if fixer_joins else [2, 2])
+            assert len(var.delta_z.bumps) == len(var.delta_y.bumps) + 1
+            assert len(rules) == 1
+            assert [len(c) for c in slopes] == [1, 1]
 
     @pytest.mark.parametrize("panels", [0, -5, 2.5, True])
     def test_rejects_panel_counts_below_one(self, panels):
@@ -719,10 +725,7 @@ class TestFieldSamples:
         for seed in range(5):
             var = make_constrained_variation(curve, seed, panels)
             assert var.curve is curve and var.panels == panels
-            # Only a fixer that joined delta_z leaves the draw's rule the field's.
-            drawn = "samples" in vars(var)
-            assert drawn == (len(var.delta_z.bumps) > variational.RANDOM_BUMPS)
-            assert drawn == (name not in ("alpha0-plus", "alpha0-minus"))
+            assert "samples" in vars(var) and len(var.delta_z.bumps) == variational.RANDOM_BUMPS + 1
             fv = first_variation(var, self.U, 0.5)
             assert (fv.re, fv.du) == fresh_first_variation(var, self.U, 0.5)
 
@@ -892,9 +895,13 @@ class TestReport:
         residual_report(curve, 0.5, DirectionSpec(0.3))
         assert calls == {"y": 1, "z": 1}
 
-    def test_solve_maxima_include_knot_cell_gauss_points(self):
+    @pytest.mark.parametrize("tagged", [True, False], ids=["solve", "untagged"])
+    def test_solve_maxima_include_knot_cell_gauss_points(self, tagged):
+        # The knot cells follow a sampled y, not the Numeric tag.
         u = DirectionSpec(0.3)
         cv = solve_curve(1.0, InitialData(0.0, 1.0, 0.0, 0.2, 0.1), (-1.0, 1.0), 0.3, step=0.05)
+        if not tagged:
+            cv = GraphCurve(cv.domain, cv.y, cv.w, cv.z)
         rep = residual_report(cv, 1.0, u, num=41)
         # The rows stay on the grid, where every sample is a knot.
         assert len(rep.grid) == 41 and all(len(r) == 41 for r in rep.residuals.values())
@@ -906,3 +913,12 @@ class TestReport:
         assert want > 1e-6
         assert rep.max_abs["el_dual"] == pytest.approx(want, abs=1e-13)
         assert rep.max_abs["el_real"] == pytest.approx(float(np.max(np.abs(el_residual_real(cv, 1.0, gauss)))), abs=1e-13)
+
+    def test_numeric_tag_without_sampled_y(self):
+        # The tag alone adds no knot cells: a closed form tagged Numeric reports on its grid.
+        cv = catenary_alpha1(CatenaryParams(alpha=1.0, c=2.0, v=0.5, d1=0.3))
+        tagged = GraphCurve(cv.domain, cv.y, cv.w, cv.z, Numeric())
+        rep = residual_report(tagged, 1.0, DirectionSpec(0.5), num=101)
+        want = residual_report(GraphCurve(cv.domain, cv.y, cv.w, cv.z), 1.0, DirectionSpec(0.5), num=101)
+        assert rep.max_abs == want.max_abs and rep.c_used == want.c_used
+        assert max(rep.max_abs.values()) < 1e-12
