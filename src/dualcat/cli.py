@@ -83,8 +83,7 @@ def _parse_domain(text: str) -> tuple[float, float]:
 
 
 def _validate(args) -> None:
-    """Reject non-finite float flags and integer flags outside their bounds, then
-    replace --domain's text, where given, with its (lo, hi)."""
+    """Reject non-finite float flags and integer flags outside their bounds, then parse --domain to (lo, hi)."""
     for name, val in vars(args).items():
         if isinstance(val, float) and not math.isfinite(val):
             raise InvalidParams(f"--{name.replace('_', '-')} must be finite, got {val}")

@@ -359,9 +359,9 @@ def residual_report(curve: GraphCurve, alpha: float, u: DirectionSpec, num: int 
 
     The Euler-Lagrange residuals are the speed nu times the two parts of the
     characterization, from one frame.  A solve's y'' and z'' are exact at its
-    knots, so where y is a SampledCoordinate each maximum also takes the two Gauss
-    points ``mid +- h/(2*sqrt(3))`` of its knot cells, where the interpolation error
-    shows; the residual rows stay on the grid.  Only y, z and w's admissible
+    knots, so where y is a SampledCoordinate each maximum also takes the Gauss points
+    ``mid +- h/(2*sqrt(3))`` of its knot cells that lie in the domain, where the
+    interpolation error shows; the residual rows stay on the grid.  Only y, z and w's admissible
     derivatives are read, never w's values.  num must be an integer of at least 2,
     and not a bool, and alpha must be finite.
     """
@@ -374,7 +374,8 @@ def residual_report(curve: GraphCurve, alpha: float, u: DirectionSpec, num: int 
     if isinstance(curve.y, SampledCoordinate):
         knots = curve.y.grid
         mid, off = 0.5 * (knots[:-1] + knots[1:]), np.diff(knots) / (2.0 * math.sqrt(3.0))
-        x = np.concatenate((xs, mid - off, mid + off))
+        gauss = np.concatenate((mid - off, mid + off))
+        x = np.concatenate((xs, gauss[(gauss >= a) & (gauss <= b)]))
     # A height that is not positive fails here, before any residual divides by it.
     height = curve.height(u, x)
     c_used = resolve_c(curve, alpha, float(xs[len(xs) // 2]))

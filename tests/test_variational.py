@@ -914,6 +914,14 @@ class TestReport:
         assert rep.max_abs["el_dual"] == pytest.approx(want, abs=1e-13)
         assert rep.max_abs["el_real"] == pytest.approx(float(np.max(np.abs(el_residual_real(cv, 1.0, gauss)))), abs=1e-13)
 
+    def test_knot_cells_outside_the_domain_are_left_out(self):
+        # A curve on part of a solve's domain reads the Gauss points that lie in it.
+        cv = solve_curve(1.0, InitialData(0.0, 1.0, 0.0, 0.2, 0.1), (-1.0, 1.0), 0.3, step=0.05)
+        part = GraphCurve((-0.52, 0.5), cv.y, cv.w, cv.z)
+        rep = residual_report(part, 1.0, DirectionSpec(0.3), num=41)
+        # Both points of the 20 cells in [-0.5, 0.5], and one of the cell [-0.55, -0.5].
+        assert len(rep.frame.nu) == 41 + 41
+
     def test_numeric_tag_without_sampled_y(self):
         # The tag alone adds no knot cells: a closed form tagged Numeric reports on its grid.
         cv = catenary_alpha1(CatenaryParams(alpha=1.0, c=2.0, v=0.5, d1=0.3))
