@@ -236,6 +236,26 @@ def test_w_table_built_only_to_print_w(capsys, monkeypatch, command, tables):
     assert len(built) == tables
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate", "--alpha", "0.5", "--solve", "--domain", "-0.75:0.75", "--samples", "3"),
+        ("verify", "--alpha", "0.5", "--solve", "--domain", "-0.75:0.75", "--samples", "3"),
+        ("generate", "--alpha", "1", "--domain", "-1:1", "--samples", "3", "--format", "csv"),
+    ],
+    ids=["generate-solve-json", "verify-solve", "generate-closed-csv"],
+)
+def test_domain_parsed_once_per_command(capsys, monkeypatch, argv):
+    # _validate turns --domain into (lo, hi) once; the curve builder, a solve's
+    # initial data and generate's JSON echo all read that tuple.
+    parsed = []
+    parse = cli._parse_domain
+    monkeypatch.setattr(cli, "_parse_domain", lambda text: parsed.append(text) or parse(text))
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert parsed == [argv[argv.index("--domain") + 1]]
+
+
 @pytest.mark.parametrize("command", ["generate", "verify"])
 @pytest.mark.parametrize(
     "argv",

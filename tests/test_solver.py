@@ -11,6 +11,7 @@ from scipy.interpolate import CubicHermiteSpline
 
 from dualcat import quadrature, solver
 from dualcat.closed_forms import _dual_part
+from dualcat.curves import table_edges
 from dualcat.spline import HermiteSpline
 
 from dualcat import (
@@ -476,6 +477,26 @@ class TestSolveCurve:
         cv = solve_curve(1.0, COSH_INIT, domain, step=0.25)
         assert cv.domain == domain
         assert cv.source == Numeric(False)
+
+    def test_w_table_ends_at_the_domain(self, monkeypatch):
+        # The grid's last node lies past the domain's right end; w's table
+        # runs over table_edges, from the domain's ends through the inner knots.
+        edges_seen = []
+
+        class Spy(quadrature.CumulativeIntegral):
+            def __init__(self, f, edges):
+                edges_seen.append(np.array(edges))
+                super().__init__(f, edges)
+
+        monkeypatch.setattr(quadrature, "CumulativeIntegral", Spy)
+        domain = (-1.0, 1.0 - 2.5e-8)
+        init = InitialData(0.0, 1.0, 0.0, z0=0.2, zp0=0.1, w0=0.3)
+        cv = solve_curve(1.0, init, domain, v=0.4, step=0.25)
+        assert cv.y.grid[-1] > domain[1]
+        assert cv.w.value(init.x0) == init.w0
+        assert len(edges_seen) == 1
+        assert np.array_equal(edges_seen[0], table_edges(cv.domain, cv.y, ()))
+        assert (edges_seen[0][0], edges_seen[0][-1]) == domain
 
 
 # Exponents with no closed form, each with the half-width of a domain on
